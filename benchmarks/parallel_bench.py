@@ -1,37 +1,31 @@
-"""Parallel-fixpoint benchmark: sharded rounds and the coverage cache.
+"""Parallel-fixpoint benchmark: sharded rounds.
 
 Times the E14-shaped multi-chain shift-cycle workload sequentially and
 at ``--parallel {2, 4}``, cross-checking that every parallel model is
 ``Model.equivalent()`` to the sequential one and that the engine
-fingerprints are identical, then runs the cross-round coverage-cache
-ablation (cache on vs off, with the ``coverage.cache`` hit/miss
-counters) on Example 4.1 and the classic E14 shift cycle.  Results go
-to ``BENCH_parallel.json``::
+fingerprints are identical, then prices the recovery from one killed
+worker.  Results go to ``BENCH_parallel.json``::
 
     python benchmarks/parallel_bench.py              # full sizes
     python benchmarks/parallel_bench.py --quick      # CI smoke sizes
     python benchmarks/parallel_bench.py --check      # exit 1 on any
                                                      # equivalence or
-                                                     # cache regression
+                                                     # wall regression
 
 Sharded rounds split one round's clause-variant firings across
 persistent worker processes; bulk payloads (the stratum broadcast,
 round results, accepted-delta references) travel through shared-memory
-segments while the pipes carry control frames only.  The payload
-records both transports' wire bytes (``wire_protocol``) from the same
-workload run twice — ``REPRO_SHARD_TRANSPORT=pipe`` is the legacy
-inline baseline — and ``--check`` asserts the >= 3x pipe-byte
-reduction of the shm protocol unconditionally.
+segments while the pipes carry control frames only; the deterministic
+pipe-byte bar for that protocol lives in ``tests/test_parallel.py``.
 
 Wall-clock gates are core-count aware: ``--check`` asserts >= 1.5x
 speedup at ``--parallel 4`` with at least 4 usable cores, > 1x at
 ``--parallel 2`` with at least 2, and on a single core — where
 parallelism can only measure dispatch overhead, never speedup — that
 ``--parallel 2`` stays under the recorded overhead ceiling.  Under
-``--quick`` the wire and wall gates are skipped: at smoke sizes the
-one-time pool bootstrap dominates both ledgers, so the ratios say
-nothing about the protocol (equivalence, fingerprint, and cache gates
-still run).
+``--quick`` the wall gates are skipped: at smoke sizes the one-time
+pool bootstrap dominates, so the ratios say nothing about sharding
+(equivalence and fingerprint gates still run).
 """
 
 from __future__ import annotations
@@ -47,14 +41,11 @@ from repro.runtime.faults import FaultPlan
 from repro.util import hooks
 
 import srcstate
-from workloads import example_41, multi_chain_workload, shift_cycle_workload
+from workloads import multi_chain_workload
 
 REPS = 3
 PARALLELISMS = (2, 4)
 SPEEDUP_TARGET = 1.5
-#: Minimum pipe-byte reduction of the shm protocol over the inline
-#: pipe baseline (control frames only vs full payloads on the pipes).
-WIRE_RATIO_TARGET = 3.0
 #: Single-core ceiling: parallel 2 may cost at most this much of the
 #: sequential wall time (dispatch overhead, not speedup, is measurable
 #: there).  Block task assignment plus worker-side gc isolation brought
@@ -165,40 +156,6 @@ def _scaling(name, program, edb, strategy="semi-naive"):
     return sequential, results
 
 
-def _wire_protocol(name, program, edb, sequential):
-    """The same workload over both shard transports, with the wire-byte
-    ledger each pool kept.  The pipe transport is the legacy inline
-    protocol (every payload pickled onto the pipes, every round); the
-    shm transport ships control frames on the pipes and everything bulky
-    through shared-memory segments.  Both must reproduce the sequential
-    model; the ratio of pipe bytes is the headline number."""
-    results = {}
-    for transport in ("pipe", "shm"):
-        os.environ["REPRO_SHARD_TRANSPORT"] = transport
-        try:
-            engine = DeductiveEngine(
-                program, edb, strategy="semi-naive", parallelism=2
-            )
-            start = time.perf_counter()
-            model = engine.run()
-            wall_ms = (time.perf_counter() - start) * 1000
-        finally:
-            os.environ.pop("REPRO_SHARD_TRANSPORT", None)
-        _assert_equivalent("%s@%s" % (name, transport), sequential, model)
-        wire = dict(engine.evaluator.shard_wire_stats)
-        total = wire["pipe_bytes"] + wire["shm_bytes"]
-        wire["wall_ms"] = round(wall_ms, 3)
-        wire["bytes_per_dispatch"] = round(
-            total / max(1, wire["dispatches"]), 1
-        )
-        results[transport] = wire
-    ratio = results["pipe"]["pipe_bytes"] / max(
-        1, results["shm"]["pipe_bytes"]
-    )
-    results["pipe_bytes_ratio"] = round(ratio, 2)
-    return results
-
-
 def _faulted_recovery(name, program, edb, sequential, scaling):
     """SIGKILL one shard worker mid-run and price the recovery.
 
@@ -244,69 +201,12 @@ def _faulted_recovery(name, program, edb, sequential, scaling):
     }
 
 
-class _CacheCounter:
-    """Sums the ``coverage.cache`` per-sweep hit/miss events."""
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.sweeps = 0
-
-    def __call__(self, kind, fields):
-        if kind == "coverage.cache":
-            self.hits += fields["hits"]
-            self.misses += fields["misses"]
-            self.sweeps += 1
-
-
-def _cache_run(program, edb, strategy, coverage_cache):
-    counter = _CacheCounter()
-    engine = DeductiveEngine(
-        program, edb, strategy=strategy, coverage_cache=coverage_cache
-    )
-    with hooks.subscribed(counter):
-        start = time.perf_counter()
-        model = engine.run()
-        wall_ms = (time.perf_counter() - start) * 1000
-    return model, {
-        "wall_ms": round(wall_ms, 3),
-        "rounds": model.stats.rounds,
-        "hits": counter.hits,
-        "misses": counter.misses,
-        "coverage_tests": counter.hits + counter.misses,
-        "sweeps": counter.sweeps,
-    }
-
-def _cache_ablation(name, program, edb, strategy):
-    """Cache on vs off on one workload; the model must not change and
-    the cached run must perform strictly fewer ``implied_by_union``
-    calls (= misses) for the same number of coverage tests."""
-    cached_model, cached = _cache_run(program, edb, strategy, True)
-    uncached_model, uncached = _cache_run(program, edb, strategy, False)
-    _assert_equivalent(name, uncached_model, cached_model)
-    assert uncached["hits"] == 0, "%s: disabled cache reported hits" % name
-    assert cached["coverage_tests"] == uncached["coverage_tests"], (
-        "%s: cache changed the number of coverage tests" % name
-    )
-    assert cached["misses"] < uncached["misses"], (
-        "%s: cache did not reduce implied_by_union invocations "
-        "(%d vs %d)" % (name, cached["misses"], uncached["misses"])
-    )
-    return {
-        "cached": cached,
-        "uncached": uncached,
-        "implied_by_union_saved": uncached["misses"] - cached["misses"],
-    }
-
-
 def run(quick=False):
     """The full benchmark payload (a JSON-safe dict)."""
     if quick:
         chains, period, data_per_chain = 3, 12, 2
-        e14_classes = 12
     else:
         chains, period, data_per_chain = 6, 48, 4
-        e14_classes = 48
     payload = {
         "quick": quick,
         "cpus": _usable_cpus(),
@@ -321,24 +221,8 @@ def run(quick=False):
     payload["e14_multi_chain"] = dict(
         {"chains": chains, "classes": period // 2}, **scaling
     )
-    payload["wire_protocol"] = _wire_protocol(
-        "e14-wire", program, edb, sequential
-    )
     payload["faulted_recovery"] = _faulted_recovery(
         "e14-faulted", program, edb, sequential, scaling
-    )
-    program, edb = example_41()
-    payload["coverage_cache_example41"] = _cache_ablation(
-        "e41-cache", program, edb, "naive"
-    )
-    # Naive re-derives every earlier residue class each round, so its
-    # coverage sweep re-tests the same (signature, constraints) pairs —
-    # exactly what the cross-round cache memoizes.  (Semi-naive on this
-    # workload derives a fresh signature per round: nothing to reuse,
-    # and the cache saves nothing — by design, not by accident.)
-    program, edb = shift_cycle_workload(e14_classes, 1)
-    payload["coverage_cache_e14"] = _cache_ablation(
-        "e14-cache", program, edb, "naive"
     )
     return payload
 
@@ -383,22 +267,6 @@ def _print_summary(payload):
                 entry["rounds"],
             )
         )
-    wire = payload.get("wire_protocol")
-    if wire is not None:
-        print(
-            "Wire protocol — pipe %d B on pipes vs shm %d B on pipes "
-            "+ %d B in %d segment(s): %.2fx fewer pipe bytes, "
-            "%.1f B/dispatch (shm) vs %.1f B/dispatch (pipe)"
-            % (
-                wire["pipe"]["pipe_bytes"],
-                wire["shm"]["pipe_bytes"],
-                wire["shm"]["shm_bytes"],
-                wire["shm"]["segments"],
-                wire["pipe_bytes_ratio"],
-                wire["shm"]["bytes_per_dispatch"],
-                wire["pipe"]["bytes_per_dispatch"],
-            )
-        )
     faulted = payload.get("faulted_recovery")
     if faulted is not None:
         print(
@@ -414,22 +282,6 @@ def _print_summary(payload):
                 faulted["workers_lost"],
             )
         )
-    print("Coverage cache — implied_by_union calls (cached vs uncached)")
-    print("%24s %10s %10s %8s" % ("workload", "cached", "uncached", "saved"))
-    for key, label in (
-        ("coverage_cache_example41", "example 4.1 naive"),
-        ("coverage_cache_e14", "e14 naive"),
-    ):
-        ablation = payload[key]
-        print(
-            "%24s %10d %10d %8d"
-            % (
-                label,
-                ablation["cached"]["misses"],
-                ablation["uncached"]["misses"],
-                ablation["implied_by_union_saved"],
-            )
-        )
 
 
 def main(argv=None):
@@ -439,7 +291,7 @@ def main(argv=None):
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail on equivalence/cache regressions, and on missing "
+        help="fail on equivalence regressions, and on missing "
         "speedup when the host has enough cores",
     )
     args = parser.parse_args(argv)
@@ -447,26 +299,18 @@ def main(argv=None):
     write(payload, args.out)
     _print_summary(payload)
     if args.check:
-        # run() already asserted equivalence, fingerprints, and the
-        # cache reduction; what remains is the wire-byte bar and the
-        # core-count-gated wall-clock bars.  Both are meaningless at
-        # --quick sizes, where the one-time pool bootstrap dominates
-        # every ledger.
+        # run() already asserted equivalence and fingerprints; what
+        # remains is the core-count-gated wall-clock bars, meaningless
+        # at --quick sizes, where the one-time pool bootstrap dominates.
         if args.quick:
             print(
-                "check ok (quick): equivalence, fingerprint, and cache "
-                "gates hold; wire/wall bars need full sizes"
+                "check ok (quick): equivalence and fingerprint gates "
+                "hold; wall bars need full sizes"
             )
             return 0
         failures = []
         cpus = payload["cpus"]
         scaling = payload["e14_multi_chain"]
-        ratio = payload["wire_protocol"]["pipe_bytes_ratio"]
-        if ratio < WIRE_RATIO_TARGET:
-            failures.append(
-                "shm transport cut pipe bytes only %.2fx (need %.1fx)"
-                % (ratio, WIRE_RATIO_TARGET)
-            )
         if cpus >= 4:
             best = scaling["parallel_4"]["speedup"]
             if best < SPEEDUP_TARGET:
@@ -495,10 +339,7 @@ def main(argv=None):
             print("FAIL: %s" % failure, file=sys.stderr)
         if failures:
             return 1
-        print(
-            "check ok: wire ratio %.2fx; wall-clock bars for %d usable "
-            "cpu(s) hold" % (ratio, cpus)
-        )
+        print("check ok: wall-clock bars for %d usable cpu(s) hold" % cpus)
     return 0
 
 

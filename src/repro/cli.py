@@ -273,7 +273,6 @@ def _cmd_run(args, out):
         patience=args.patience,
         on_give_up="partial" if args.partial else "raise",
         parallelism=args.parallel,
-        coverage_cache=not args.no_coverage_cache,
         shard_recv_deadline=args.shard_recv_deadline,
         shard_max_restarts=args.shard_max_restarts,
         shard_fallback=not args.no_shard_fallback,
@@ -1193,12 +1192,6 @@ def build_parser():
         "(default 1: sequential; the model is identical either way); "
         "'auto' starts sequential and upshifts only when a measured "
         "round is big enough to pay the dispatch overhead",
-    )
-    run.add_argument(
-        "--no-coverage-cache",
-        action="store_true",
-        help="disable the cross-round coverage cache (ablation; results "
-        "are identical, only implied_by_union call counts change)",
     )
     run.add_argument(
         "--shard-recv-deadline",

@@ -52,10 +52,9 @@ class ProgramEvaluator:
     :meth:`resolve_auto_parallelism`; ``auto_parallelism_cap`` bounds
     the worker count it may choose).  The pool is supervised:
     ``shard_recv_deadline`` / ``shard_max_restarts`` tune hang
-    detection and the respawn cap, ``shard_poll_floor`` /
-    ``shard_poll_ceiling`` the liveness-poll backoff, and with
-    ``shard_fallback`` (the default) an unhealable pool downshifts the
-    rest of the run to in-process sequential evaluation — recorded in
+    detection and the respawn cap, and with ``shard_fallback`` (the
+    default) an unhealable pool downshifts the rest of the run to
+    in-process sequential evaluation — recorded in
     :attr:`shard_degraded` — instead of failing it.
     """
 
@@ -68,8 +67,6 @@ class ProgramEvaluator:
         shard_recv_deadline=None,
         shard_max_restarts=None,
         shard_fallback=True,
-        shard_poll_floor=None,
-        shard_poll_ceiling=None,
         auto_parallelism_cap=None,
     ):
         if evaluation not in _EVALUATION_MODES:
@@ -96,8 +93,6 @@ class ProgramEvaluator:
         self.shard_recv_deadline = shard_recv_deadline
         self.shard_max_restarts = shard_max_restarts
         self.shard_fallback = bool(shard_fallback)
-        self.shard_poll_floor = shard_poll_floor
-        self.shard_poll_ceiling = shard_poll_ceiling
         #: ``None`` while sharding is healthy (or unused); after a
         #: mid-run downshift, a dict describing why (reason,
         #: restarts_used, pending_tasks).
@@ -347,8 +342,6 @@ class ProgramEvaluator:
                 plan_fingerprint=self.plan_fingerprint(),
                 recv_deadline=self.shard_recv_deadline,
                 max_restarts=self.shard_max_restarts,
-                poll_floor=self.shard_poll_floor,
-                poll_ceiling=self.shard_poll_ceiling,
             )
         return self._shard_pool
 

@@ -47,11 +47,8 @@ serialized once per batch, rows referencing it by index):
   get the missing updates inline, lazily encoded from the accepted
   tuples the parent retains per stratum.
 
-``REPRO_SHARD_TRANSPORT=pipe`` switches to the legacy inline-payload
-protocol (every payload pickled per worker onto its pipe); the
-parallel benchmark uses it to price the shared-memory plane honestly
-(``wire_stats()`` counts pipe and segment bytes exactly, and every
-round emits a ``shard.dispatch`` event with the totals).
+``wire_stats()`` counts pipe and segment bytes exactly, and every
+round emits a ``shard.dispatch`` event with the totals.
 
 Determinism is by construction, not by luck: tasks are enumerated in
 exactly the sequential firing order, results are reassembled by global
@@ -65,7 +62,8 @@ Long-running fixpoints on real pods lose workers mid-round, so the
 pool is supervised rather than trusted:
 
 * every receive is deadline-bounded with exponentially backed-off
-  liveness polling (``poll_floor`` doubling to ``poll_ceiling``) — a
+  liveness polling (:data:`DEFAULT_POLL_FLOOR` doubling to
+  :data:`DEFAULT_POLL_CEILING`) — a
   dead worker wakes the poll immediately via pipe EOF, a *hung* one is
   detected within ``recv_deadline`` seconds (and is then killed), and
   an idle parent waiting on a long computation burns almost no CPU;
@@ -198,28 +196,6 @@ def _start_method(override=None):
     )
 
 
-def _shared_memory_available():
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - all supported platforms have it
-        return False
-    return True
-
-
-def _transport(override=None):
-    """``"shm"`` (default where available) or ``"pipe"``."""
-    choice = override or os.environ.get("REPRO_SHARD_TRANSPORT")
-    if choice:
-        if choice not in ("shm", "pipe"):
-            raise ValueError(
-                "shard transport must be 'shm' or 'pipe', got %r" % (choice,)
-            )
-        if choice == "shm" and not _shared_memory_available():
-            raise ValueError("shared-memory transport is unavailable here")
-        return choice
-    return "shm" if _shared_memory_available() else "pipe"
-
-
 class _ShardWorker:
     """One pool slot: the process, the parent pipe end, and how many of
     the stratum's per-round updates the replica has applied."""
@@ -247,11 +223,8 @@ class ShardPool:
 
     ``recv_deadline`` bounds how long a silent-but-alive worker is
     waited on mid-round; ``max_restarts`` caps replacement spawns per
-    pool lifetime; ``poll_floor`` / ``poll_ceiling`` tune the
-    liveness-poll backoff.  All default to the module constants when
-    ``None``.  ``transport`` forces ``"shm"`` or ``"pipe"`` (default:
-    the ``REPRO_SHARD_TRANSPORT`` environment variable, else shared
-    memory where available).  The pool is a context manager:
+    pool lifetime.  Both default to the module constants when
+    ``None``.  The pool is a context manager:
     ``with ShardPool(...) as pool: ...`` guarantees :meth:`close`.
     """
 
@@ -265,9 +238,6 @@ class ShardPool:
         start_method=None,
         recv_deadline=None,
         max_restarts=None,
-        poll_floor=None,
-        poll_ceiling=None,
-        transport=None,
     ):
         if parallelism < 2:
             raise ValueError("a shard pool needs parallelism >= 2")
@@ -277,7 +247,6 @@ class ShardPool:
         self.parallelism = parallelism
         self.expected_fingerprint = plan_fingerprint
         self.start_method = _start_method(start_method)
-        self.transport = _transport(transport)
         self.recv_deadline = (
             DEFAULT_RECV_DEADLINE if recv_deadline is None else float(recv_deadline)
         )
@@ -288,14 +257,6 @@ class ShardPool:
         )
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        self.poll_floor = (
-            DEFAULT_POLL_FLOOR if poll_floor is None else float(poll_floor)
-        )
-        self.poll_ceiling = (
-            DEFAULT_POLL_CEILING if poll_ceiling is None else float(poll_ceiling)
-        )
-        if self.poll_floor <= 0 or self.poll_ceiling < self.poll_floor:
-            raise ValueError("need 0 < poll_floor <= poll_ceiling")
         self._workers = []  # [_ShardWorker]
         self._context = None
         self._spawn_seq = 0
@@ -342,9 +303,7 @@ class ShardPool:
     def wire_stats(self):
         """Lifetime transport totals (bytes are exact, both directions
         on the pipes plus every segment written)."""
-        stats = dict(self.wire)
-        stats["transport"] = self.transport
-        return stats
+        return dict(self.wire)
 
     def _spawn(self):
         """Start one worker process; the caller still owes a handshake."""
@@ -477,11 +436,10 @@ class ShardPool:
         self._segments[name] = None
         return name
 
-    def _read_segment(self, name, size, retain=False):
-        """Attach and unpickle a worker-written segment.  With
-        ``retain`` the attached handle stays in the registry (the
-        segment must survive for accept-reference resolution); without
-        it the segment is unlinked on the spot."""
+    def _read_segment(self, name, size):
+        """Attach and unpickle a worker-written segment.  The attached
+        handle stays in the registry: the segment must survive for
+        accept-reference resolution."""
         from multiprocessing import shared_memory
 
         segment = shared_memory.SharedMemory(name=name)
@@ -494,15 +452,7 @@ class ShardPool:
         except BaseException:
             segment.close()
             raise
-        if retain:
-            self._segments[name] = segment
-        else:
-            self._segments.pop(name, None)
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        self._segments[name] = segment
         return payload
 
     def _unlink_segment(self, name):
@@ -619,10 +569,9 @@ class ShardPool:
         """Broadcast the stratum context: the current IDB relations
         (which a resume may have pre-populated), the negated-predicate
         complements, and the in-flight delta (``None`` outside a
-        mid-stratum start).  Under the shared-memory transport the
-        payload is encoded and written exactly once; the frame — which
-        is retained so replacements can be rehydrated — only names the
-        segment."""
+        mid-stratum start).  The payload is encoded and written to a
+        segment exactly once; the frame — which is retained so
+        replacements can be rehydrated — only names the segment."""
         self.ensure_started()
         self._release_stratum_state()
         payload = {
@@ -641,20 +590,13 @@ class ShardPool:
             },
         }
         pipe_before, shm_before = self.wire["pipe_bytes"], self.wire["shm_bytes"]
-        if self.transport == "shm":
-            name, size = self._write_segment(dump_payload(payload))
-            message = {
-                "op": "stratum",
-                "stratum": stratum_index,
-                "shm": name,
-                "size": size,
-            }
-        else:
-            message = {
-                "op": "stratum",
-                "stratum": stratum_index,
-                "payload": payload,
-            }
+        name, size = self._write_segment(dump_payload(payload))
+        message = {
+            "op": "stratum",
+            "stratum": stratum_index,
+            "shm": name,
+            "size": size,
+        }
         self._stratum_message = message
         self._stratum = stratum_index
         self._round = 0
@@ -684,10 +626,9 @@ class ShardPool:
                     "round": self._round,
                     "tasks": 0,
                     "workers": len(self._workers),
-                    "transport": self.transport,
                     "pipe_bytes": self.wire["pipe_bytes"] - pipe_before,
                     "shm_bytes": self.wire["shm_bytes"] - shm_before,
-                    "segments": 1 if self.transport == "shm" else 0,
+                    "segments": 1,
                 },
             )
         if not self._workers:
@@ -714,7 +655,7 @@ class ShardPool:
         self._prev_reply_segments = []
         message = self._stratum_message
         self._stratum_message = None
-        if message is not None and message.get("shm"):
+        if message is not None:
             self._unlink_segment(message["shm"])
         self._updates = []
         self._last_results = None
@@ -755,9 +696,9 @@ class ShardPool:
         first round of a stratum); every worker applies it to its
         replica environment — in the parent's insertion order — before
         evaluating, which also makes it the round's semi-naive delta.
-        Under the shared-memory transport the update crosses the wire
-        as result references (see the module docstring), so accepting a
-        tuple costs the parent no serialization at all.
+        The update crosses the wire as result references (see the
+        module docstring), so accepting a tuple costs the parent no
+        serialization at all.
 
         ``seminaive`` tells the workers which task enumeration this
         round used (they recompute the task list themselves).  It
@@ -851,8 +792,7 @@ class ShardPool:
                     results = self._collect_results(reply, reply_name)
                 except _WorkerFailure as failure:
                     self._discard(worker, failure.reason, str(failure))
-                    if reply_name is not None:
-                        self._unlink_segment(reply_name)
+                    self._unlink_segment(reply_name)
                     continue
                 for index in indices:
                     batch = results.get(index)
@@ -860,9 +800,9 @@ class ShardPool:
                         [] if batch is None else decode_tuple_batch(batch)
                     )
                     completed.add(index)
-                if reply_name is not None and reply.get("shm"):
+                if reply.get("shm"):
                     reply_segments.append([reply_name, reply["size"]])
-                elif reply_name is not None:
+                else:
                     # Assigned but never created (all tasks empty).
                     self._segments.pop(reply_name, None)
             pending = [i for i in pending if i not in completed]
@@ -883,7 +823,6 @@ class ShardPool:
                     "round": self._round,
                     "tasks": len(tasks),
                     "workers": len(self._workers),
-                    "transport": self.transport,
                     "pipe_bytes": self.wire["pipe_bytes"] - pipe_before,
                     "shm_bytes": self.wire["shm_bytes"] - shm_before,
                     "segments": len(reply_segments),
@@ -906,8 +845,8 @@ class ShardPool:
         """Map accepted tuple *objects* back to ``[task, row]`` pairs in
         the previous round's merged results (coverage sweeping preserves
         identity).  Returns ``None`` — forcing the inline path — when
-        any tuple fails to map or the transport cannot resolve refs."""
-        if self.transport != "shm" or self._last_results is None:
+        there is no previous round or any tuple fails to map."""
+        if self._last_results is None:
             return None
         id_map = {}
         for task, tuples in enumerate(self._last_results):
@@ -959,10 +898,8 @@ class ShardPool:
 
     def _dispatch(self, worker, tasks_total, assign, seminaive):
         """Send one round control frame; returns the reply-segment name
-        assigned to the worker (``None`` under the pipe transport)."""
-        reply_name = (
-            self._assign_segment_name() if self.transport == "shm" else None
-        )
+        assigned to the worker."""
+        reply_name = self._assign_segment_name()
         message = {
             "op": "round",
             "round": self._round,
@@ -976,8 +913,7 @@ class ShardPool:
             fault_point("shard_dispatch")
             self._send_bytes(worker, dump_payload(message))
         except (OSError, ValueError, ReproError) as error:
-            if reply_name is not None:
-                self._segments.pop(reply_name, None)
+            self._segments.pop(reply_name, None)
             # A send that fails because the process died is a crash;
             # pipe trouble with a live worker is dispatch failure.
             reason = "dispatch" if worker.process.is_alive() else "crash"
@@ -989,14 +925,11 @@ class ShardPool:
 
     def _collect_results(self, reply, reply_name):
         """The ``{task index: batch}`` map of one worker reply, read
-        from its segment (retained for accept references) or straight
-        off the pipe frame."""
-        if self.transport != "shm":
-            return reply.get("results", {})
+        from its segment (retained for accept references)."""
         if not reply.get("shm"):
             return {}
         size = reply["size"]
-        payload = self._read_segment(reply_name, size, retain=True)
+        payload = self._read_segment(reply_name, size)
         self.wire["shm_bytes"] += size
         self.wire["segments"] += 1
         return payload
@@ -1029,7 +962,7 @@ class ShardPool:
         connection = worker.connection
         process = worker.process
         expires = time.monotonic() + deadline
-        interval = self.poll_floor
+        interval = DEFAULT_POLL_FLOOR
         while True:
             remaining = expires - time.monotonic()
             try:
@@ -1071,7 +1004,7 @@ class ShardPool:
                     % (worker.name, deadline),
                 )
             # Quiet wakeup: back off before the next liveness check.
-            interval = min(interval * 2.0, self.poll_ceiling)
+            interval = min(interval * 2.0, DEFAULT_POLL_CEILING)
 
 
 # -- worker side -------------------------------------------------------------
@@ -1316,12 +1249,7 @@ def _worker_main(connection, bootstrap):
         try:
             if op == "stratum":
                 stratum_index = message["stratum"]
-                if "shm" in message:
-                    payload = _worker_read_segment(
-                        message["shm"], message["size"]
-                    )
-                else:
-                    payload = message["payload"]
+                payload = _worker_read_segment(message["shm"], message["size"])
                 for name, encoded in payload["env"].items():
                     env[name] = decode_relation(encoded)
                 complements = {
@@ -1410,19 +1338,13 @@ def _worker_main(connection, bootstrap):
                     retained[i] = relation.tuples
                     if relation.tuples:
                         results[i] = encode_tuple_batch(relation.tuples)
-                if message["reply"] is not None:
-                    reply = {"ok": True, "round": round_no, "shm": None, "size": 0}
-                    if results:
-                        data = dump_payload(results)
-                        _worker_write_segment(message["reply"], data)
-                        reply["shm"] = message["reply"]
-                        reply["size"] = len(data)
-                    _worker_send(connection, reply)
-                else:
-                    _worker_send(
-                        connection,
-                        {"ok": True, "round": round_no, "results": results},
-                    )
+                reply = {"ok": True, "round": round_no, "shm": None, "size": 0}
+                if results:
+                    data = dump_payload(results)
+                    _worker_write_segment(message["reply"], data)
+                    reply["shm"] = message["reply"]
+                    reply["size"] = len(data)
+                _worker_send(connection, reply)
             elif op == "flush_stats":
                 operators, kernel = (
                     stat_sink.drain() if stat_sink is not None else ([], [])

@@ -405,7 +405,7 @@ class QueryService:
                 {
                     "phase": "submit",
                     "job_id": spec.job_id,
-                    "kind": spec.kind,
+                    "job_kind": spec.kind,
                     "queue_depth": depth,
                 },
             )

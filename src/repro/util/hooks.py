@@ -35,8 +35,8 @@ Event kinds are dotted names; the canonical vocabulary is
                       product; carrier / projection for those steps)
 ``checkpoint.write``  one per snapshot persisted: path, round, duration
 ``budget.charge``     one per budget charge: dimension, amount, total
-``coverage.cache``    one per coverage sweep: round, stratum, enabled,
-                      and the sweep's cache hit / miss counts
+``coverage.cache``    one per coverage sweep: round, stratum, and the
+                      sweep's cache hit / miss counts
 ``service.job``       job lifecycle: submit / reject / dequeue /
                       attempt / outcome, with retry and degradation
                       annotations
@@ -44,10 +44,9 @@ Event kinds are dotted names; the canonical vocabulary is
                       hang / dispatch failure, with exit code), a
                       replacement respawned, a task slice retried
 ``shard.dispatch``    shard-pool transport ledger: one per stratum
-                      broadcast and one per round, with the transport
-                      (shm / pipe), worker count, and the pipe /
-                      shared-memory byte and segment totals moved in
-                      that phase
+                      broadcast and one per round, with the worker
+                      count and the pipe / shared-memory byte and
+                      segment totals moved in that phase
 ``shard.degraded``    a parallel run lost its whole shard pool beyond
                       healing and downshifted to sequential: reason,
                       restarts used, tasks still pending

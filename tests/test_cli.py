@@ -514,6 +514,53 @@ class TestServeCommand:
         assert by_id["q1"]["state"] == "ok"
         assert by_id["job-4"]["state"] == "rejected"
 
+    def test_serve_trace_passes_the_trace_schema(self, files, tmp_path):
+        """A ``service.job`` submit event carries the job's kind as
+        ``job_kind``, so it can never overwrite the record's event kind
+        and the whole serve trace validates."""
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "check_trace",
+            os.path.join(os.path.dirname(__file__), "..", "tools", "check_trace.py"),
+        )
+        check_trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_trace)
+        lines = [
+            json.dumps(
+                {
+                    "id": "r1",
+                    "kind": "run",
+                    "program_file": files["program.dtl"],
+                    "edb_file": files["edb.gdb"],
+                }
+            ),
+            json.dumps(
+                {
+                    "id": "q1",
+                    "kind": "query",
+                    "edb_file": files["edb.gdb"],
+                    "query": "exists t2 (course(t1, t2; C))",
+                }
+            ),
+        ]
+        stream = tmp_path / "input.jsonl"
+        stream.write_text("\n".join(lines) + "\n")
+        trace = str(tmp_path / "serve.jsonl")
+        code, _ = run_cli(
+            ["serve", "--input", str(stream), "--workers", "1", "--trace", trace]
+        )
+        assert code == 0
+        assert check_trace.check(trace, require_kinds=["service.job"]) == []
+        with open(trace) as handle:
+            records = [json.loads(line) for line in handle]
+        submitted = {
+            record["job_id"]: record["job_kind"]
+            for record in records
+            if record["kind"] == "service.job" and record["phase"] == "submit"
+        }
+        assert submitted == {"r1": "run", "q1": "query"}
+
 
 @pytest.fixture
 def txn_files(tmp_path):

@@ -2,11 +2,16 @@
 the column store's generation counter, and the shard wire codec.
 
 The batch helpers must be *exactly* equivalent to the per-tuple loops
-they replace (the kernel-off ablation), including the alignment rule
-that an unsatisfiable result appears as None in the output list.
+they replace — each test writes that loop out as the reference —
+including the alignment rule that an unsatisfiable result appears as
+None in the output list.
 """
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constraints.atoms import Comparison, TemporalTerm
 from repro.constraints.dbm import (
@@ -16,7 +21,8 @@ from repro.constraints.dbm import (
     canonicalize_batch,
 )
 from repro.constraints.system import ConstraintSystem
-from repro.gdb import kernel
+from repro.core import DeductiveEngine, parse_program
+from repro.gdb import kernel, parse_database
 from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.store import (
     decode_relation_batch,
@@ -133,20 +139,19 @@ def _keys(results):
 
 
 class TestBatchOps:
-    """Each batch op must match its per-tuple loop (kernel-off run)."""
+    """Each batch op must match the per-tuple loop it replaced (the
+    loop the former kernel-off ablation ran), written out here."""
 
     def test_select_batch_matches_ablation(self):
         tuples = [
             _gt(1),
-            _gt(1),  # duplicate ids: a template-cache hit when enabled
+            _gt(1),  # duplicate ids: a template-cache hit
             _gt(3, constraints=ConstraintSystem.parse("T1 >= 0", 1)),
         ]
         atoms = [Comparison(">=", TemporalTerm(0), TemporalTerm(None, 5))]
-        with kernel.configured(False):
-            expected = kernel.select_batch(tuples, atoms, kernel.next_token())
+        expected = [gt.conjoined(atoms) for gt in tuples]
         stats = {}
-        with kernel.configured(True):
-            got = kernel.select_batch(tuples, atoms, kernel.next_token(), stats)
+        got = kernel.select_batch(tuples, atoms, kernel.next_token(), stats)
         assert _keys(got) == _keys(expected)
         assert stats["size"] == 3
         assert stats["hits"] == 1
@@ -154,11 +159,9 @@ class TestBatchOps:
     def test_join_batch_matches_ablation(self):
         pairs = [(_gt(1), _gt(3, "y")), (_gt(1), _gt(3, "z")), (_gt(2), _gt(4, "y"))]
         atoms = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
-        with kernel.configured(False):
-            expected = kernel.join_batch(pairs, atoms, kernel.next_token())
+        expected = [a.joined(b, atoms) for a, b in pairs]
         stats = {}
-        with kernel.configured(True):
-            got = kernel.join_batch(pairs, atoms, kernel.next_token(), stats)
+        got = kernel.join_batch(pairs, atoms, kernel.next_token(), stats)
         assert _keys(got) == _keys(expected)
         # The second pair shares both operands' (lvid, cid) ids with the
         # first — data columns differ but the temporal template is shared.
@@ -170,19 +173,16 @@ class TestBatchOps:
         atoms = [Comparison("=", TemporalTerm(0), TemporalTerm(0, 1))]
         pairs = [(_gt(1), _gt(1, "y"))] * 3
         stats = {}
-        with kernel.configured(True):
-            got = kernel.join_batch(pairs, atoms, kernel.next_token(), stats)
+        got = kernel.join_batch(pairs, atoms, kernel.next_token(), stats)
         assert got == [None, None, None]
         assert stats["hits"] == 2
 
     def test_extend_batch_matches_ablation(self):
         tuples = [_gt(1), _gt(1), _gt(7)]
         atoms = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
-        with kernel.configured(False):
-            expected = kernel.extend_batch(tuples, 1, atoms, kernel.next_token())
+        expected = [gt.extended(1, atoms) for gt in tuples]
         stats = {}
-        with kernel.configured(True):
-            got = kernel.extend_batch(tuples, 1, atoms, kernel.next_token(), stats)
+        got = kernel.extend_batch(tuples, 1, atoms, kernel.next_token(), stats)
         assert _keys(got) == _keys(expected)
         assert got[0].temporal_arity == 2
         assert stats["hits"] == 1
@@ -194,15 +194,14 @@ class TestBatchOps:
             ConstraintSystem.parse("T2 = T1 + 2", 2),
         )
         tuples = [wide, wide]
-        with kernel.configured(False):
-            expected = kernel.project_batch(
-                tuples, (0,), (1,), ((0, 2),), kernel.next_token()
-            )
+        expected = [
+            [gt.shift_column(0, 2) for gt in wide_gt.project((0,), (1,))]
+            for wide_gt in tuples
+        ]
         stats = {}
-        with kernel.configured(True):
-            got = kernel.project_batch(
-                tuples, (0,), (1,), ((0, 2),), kernel.next_token(), stats
-            )
+        got = kernel.project_batch(
+            tuples, (0,), (1,), ((0, 2),), kernel.next_token(), stats
+        )
         assert [_keys(results) for results in got] == [
             _keys(results) for results in expected
         ]
@@ -210,12 +209,6 @@ class TestBatchOps:
         for results in got:
             for gt in results:
                 assert gt.data == ("y",)
-
-    def test_configured_restores_the_flag(self):
-        saved = kernel.ENABLED
-        with kernel.configured(not saved):
-            assert kernel.ENABLED is (not saved)
-        assert kernel.ENABLED is saved
 
     def test_cache_stats_shape(self):
         stats = kernel.cache_stats()
@@ -258,9 +251,9 @@ class TestStoreGenerations:
         gt = _gt(1, "a")
         base = GeneralizedRelation(1, 1, [gt])
         cache = base.coverage_cache()
-        signature = gt.free_signature()
+        signature = gt.kernel_ids()[1]
         cache[signature] = {"was-covered": True, "was-uncovered": False}
-        other = _gt(3, "b").free_signature()
+        other = _gt(3, "b").kernel_ids()[1]
         cache[other] = {"elsewhere": False}
         # Same lrps + data (same free signature), tighter zone: touches
         # the cached signature without duplicating the row key.
@@ -311,12 +304,55 @@ class TestWireCodec:
         assert decoded.equivalent(relation)
 
     def test_batch_is_json_serializable(self):
-        import json
-
         payload = encode_relation_batch(GeneralizedRelation(2, 1, self._tuples()))
         assert decode_relation_batch(json.loads(json.dumps(payload))).equivalent(
             GeneralizedRelation(2, 1, self._tuples())
         )
+
+
+class TestDispatchBytes:
+    """The column batch is what the shard pool broadcasts; on E14's
+    closed form it must be smaller than the per-tuple checkpoint JSON
+    it replaced (1,124 B vs 1,672 B for the 48-class relation)."""
+
+    def test_e14_batch_smaller_than_per_tuple_json(self):
+        edb = parse_database("relation seed[1; 0] { (48n+0); }")
+        program = parse_program("p(t) <- seed(t). p(t + 1) <- p(t).")
+        model = DeductiveEngine(program, edb, strategy="semi-naive").run()
+        relation = model.relation("p")
+        assert len(relation.tuples) == 48
+        per_tuple = len(json.dumps(relation.to_json_dict()))
+        batch = len(json.dumps(encode_relation_batch(relation)))
+        assert batch < per_tuple
+
+
+class TestClosedFormEmptiness:
+    """``_is_empty_uncached`` answers tuples of temporal arity <= 1 in
+    closed form (an interval against a residue class); it must agree
+    with the exact aligned-disjunct test it shortcuts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        period=st.integers(min_value=1, max_value=12),
+        offset=st.integers(min_value=-30, max_value=30),
+        low=st.one_of(st.none(), st.integers(min_value=-40, max_value=40)),
+        width=st.one_of(st.none(), st.integers(min_value=-3, max_value=30)),
+    )
+    def test_one_column_closed_form_matches_aligned(
+        self, period, offset, low, width
+    ):
+        bounds = []
+        if low is not None:
+            bounds.append("T1 >= %d" % low)
+            if width is not None:
+                bounds.append("T1 <= %d" % (low + width))
+        elif width is not None:
+            bounds.append("T1 <= %d" % width)
+        constraints = (
+            ConstraintSystem.parse(" & ".join(bounds), 1) if bounds else None
+        )
+        gt = GeneralizedTuple((Lrp(period, offset),), (), constraints)
+        assert gt._is_empty_uncached() == (not gt.aligned())
 
 
 class TestWireCodecPastInternCap:
@@ -345,8 +381,6 @@ class TestWireCodecPastInternCap:
         return tuples
 
     def test_overflow_round_trip_bit_identical(self):
-        import json
-
         saved_cap = CONSTRAINT_TABLE.cap
         CONSTRAINT_TABLE.cap = len(CONSTRAINT_TABLE)
         try:

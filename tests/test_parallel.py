@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import DeductiveEngine, parse_program
 from repro.core import engine as engine_module
-from repro.core.safety import CoverageChecker
+from repro.core.safety import CoverageChecker, covered_paper
 from repro.gdb import parse_database
 from repro.obs.trace import ProfileCollector
 from repro.plan import shard
@@ -130,7 +130,7 @@ def test_parallelism_validation():
     assert engine.parallelism == 1
 
 
-# -- persistent workers: start methods, transports, auto governor -----------
+# -- persistent workers: start methods, wire ledger, auto governor ---------
 
 
 def _shm_leftovers():
@@ -171,33 +171,53 @@ def test_start_methods_reproduce_sequential(monkeypatch, start_method):
     assert _shm_leftovers() == []
 
 
-def test_pipe_transport_matches_shm_and_costs_more_pipe_bytes(monkeypatch):
-    """The inline pipe protocol stays available as REPRO_SHARD_TRANSPORT=pipe
-    (the wire-cost baseline) and produces the identical model; the shm
-    transport moves the bulk bytes off the pipes."""
+#: Pipe bytes the retired inline protocol (every payload pickled onto
+#: the pipes) moved on E14 multi-chain-6 at parallelism 2 — 450
+#: dispatches over 26 rounds, identical across runs.  The shared-memory
+#: plane must keep the pipes to control frames: at most a third of that.
+INLINE_PIPE_BYTES = 196_348
 
-    def run(transport):
-        monkeypatch.setenv("REPRO_SHARD_TRANSPORT", transport)
-        engine = DeductiveEngine(
-            parse_program(EXAMPLE_41_PROGRAM),
-            parse_database(EXAMPLE_41_EDB),
-            strategy="semi-naive",
-            parallelism=2,
+
+def _multi_chain(chains=6, period=48, shift=2, data_per_chain=4):
+    """E14 multi-chain (``benchmarks/workloads.py``): per chain a
+    period-``period`` seed, a ``+shift`` recursion and a self-join."""
+    edb_parts, program_parts = [], []
+    for chain in range(chains):
+        rows = "".join(
+            ' (%dn+%d; "c%d");' % (period, (chain * 5 + item) % period, item)
+            for item in range(data_per_chain)
         )
-        model = engine.run()
-        return model, engine.evaluator.shard_wire_stats
+        edb_parts.append("relation seed%d[1; 1] {%s }" % (chain, rows))
+        program_parts.append("p%d(t; X) <- seed%d(t; X)." % (chain, chain))
+        program_parts.append(
+            "p%d(t + %d; X) <- p%d(t; X)." % (chain, shift, chain)
+        )
+        program_parts.append(
+            "meet%d(t; X, Y) <- p%d(t; X), p%d(t; Y)." % (chain, chain, chain)
+        )
+    return (
+        parse_program("\n".join(program_parts)),
+        parse_database("\n".join(edb_parts)),
+    )
 
-    pipe_model, pipe_wire = run("pipe")
-    shm_model, shm_wire = run("shm")
-    assert str(pipe_model) == str(shm_model)
-    assert pipe_wire["transport"] == "pipe"
-    assert shm_wire["transport"] == "shm"
-    assert pipe_wire["shm_bytes"] == 0 and pipe_wire["segments"] == 0
-    assert shm_wire["shm_bytes"] > 0 and shm_wire["segments"] > 0
-    assert pipe_wire["rounds"] == shm_wire["rounds"]
-    assert pipe_wire["dispatches"] == shm_wire["dispatches"]
-    # Control frames are all that remain on the pipes under shm.
-    assert shm_wire["pipe_bytes"] < pipe_wire["pipe_bytes"]
+
+def test_shm_transport_keeps_bulk_bytes_off_the_pipes():
+    """The wire ledger is deterministic: the same run always moves the
+    same bytes, so the shm plane's pipe saving is a fixed bar, not a
+    timing."""
+    program, database = _multi_chain()
+    sequential = DeductiveEngine(program, database, strategy="semi-naive").run()
+    engine = DeductiveEngine(
+        program, database, strategy="semi-naive", parallelism=2
+    )
+    model = engine.run()
+    assert str(model) == str(sequential)
+    assert model.stats.new_tuples_per_round == sequential.stats.new_tuples_per_round
+    wire = engine.evaluator.shard_wire_stats
+    assert wire["dispatches"] == 450
+    assert wire["shm_bytes"] > 0 and wire["segments"] > 0
+    # Control frames are all that remain on the pipes.
+    assert 3 * wire["pipe_bytes"] <= INLINE_PIPE_BYTES
     assert _shm_leftovers() == []
 
 
@@ -221,7 +241,6 @@ def test_shard_dispatch_events_carry_wire_accounting():
     rounds = [e for e in events if e["phase"] == "round"]
     assert strata and rounds
     for event in events:
-        assert event["transport"] == "shm"
         assert event["workers"] == 2
         assert isinstance(event["pipe_bytes"], int)
         assert isinstance(event["shm_bytes"], int)
@@ -389,18 +408,6 @@ def test_coverage_cache_hits_on_retest():
     assert (checker.hits, checker.misses) == (1, 1)
 
 
-def test_coverage_cache_disabled_never_hits():
-    relation = _single_tuple("relation r[1; 0] { (2n) where T1 >= 0; }")
-    candidate = _single_tuple(
-        "relation r[1; 0] { (2n+4) where T1 >= 0; }"
-    ).tuples[0]
-    checker = CoverageChecker("paper", use_cache=False)
-    assert checker.covered(candidate, relation)
-    assert checker.covered(candidate, relation)
-    assert (checker.hits, checker.misses) == (0, 2)
-    assert relation._coverage_cache is None
-
-
 def test_coverage_cache_invalidated_by_insert():
     """A negative verdict must not survive an insert that touches its
     signature — the inserted tuple may be exactly what covers it."""
@@ -438,47 +445,41 @@ def test_coverage_cache_positive_verdicts_survive_other_inserts():
     assert (checker.hits, checker.misses) == (1, 1)
 
 
-def test_coverage_cache_events_and_model_identity():
-    """Example 4.1 naive: the cache cuts ``implied_by_union`` work
-    (misses) without changing the model, and the sweep emits
-    ``coverage.cache`` events with the per-round deltas."""
-    program = parse_program(EXAMPLE_41_PROGRAM)
-    database = parse_database(EXAMPLE_41_EDB)
+def test_coverage_cache_events_and_model_identity(monkeypatch):
+    """Example 4.1 naive: every verdict the cache answers equals the
+    uncached paper test (so the model cannot change), the cache answers
+    some re-tests, and the sweep emits ``coverage.cache`` events whose
+    per-round deltas add up to the coverage decisions asked."""
+    asked = []
+    memoized = CoverageChecker.covered
 
-    def run(coverage_cache):
-        events = []
-        hooks.subscribe(
-            lambda kind, fields: events.append(dict(fields))
-            if kind == "coverage.cache"
-            else None
-        )
-        try:
-            engine = DeductiveEngine(
-                program,
-                database,
-                strategy="naive",
-                coverage_cache=coverage_cache,
-            )
-            model = engine.run()
-        finally:
-            hooks.SINKS = ()
-        return model, events
+    def checked(self, gt, relation, snapshot=None):
+        verdict = memoized(self, gt, relation, snapshot)
+        assert verdict == covered_paper(gt, relation)
+        asked.append(verdict)
+        return verdict
 
-    cached_model, cached_events = run(True)
-    uncached_model, uncached_events = run(False)
-    assert str(cached_model) == str(uncached_model)
-    assert all(event["enabled"] for event in cached_events)
-    assert not any(event["enabled"] for event in uncached_events)
-    cached_hits = sum(event["hits"] for event in cached_events)
-    cached_misses = sum(event["misses"] for event in cached_events)
-    uncached_hits = sum(event["hits"] for event in uncached_events)
-    uncached_misses = sum(event["misses"] for event in uncached_events)
-    assert uncached_hits == 0
-    assert cached_hits > 0
-    assert cached_misses < uncached_misses
-    # Same number of coverage decisions either way — the cache changes
-    # how they are answered, never how many are asked.
-    assert cached_hits + cached_misses == uncached_misses
+    monkeypatch.setattr(CoverageChecker, "covered", checked)
+    events = []
+    sink = hooks.subscribe(
+        lambda kind, fields: events.append(dict(fields))
+        if kind == "coverage.cache"
+        else None
+    )
+    try:
+        model = DeductiveEngine(
+            parse_program(EXAMPLE_41_PROGRAM),
+            parse_database(EXAMPLE_41_EDB),
+            strategy="naive",
+        ).run()
+    finally:
+        hooks.unsubscribe(sink)
+    assert model.stats.rounds == 8
+    assert len(events) == model.stats.rounds
+    hits = sum(event["hits"] for event in events)
+    misses = sum(event["misses"] for event in events)
+    assert hits > 0
+    assert hits + misses == len(asked)
 
 
 def test_free_signature_is_memoized():

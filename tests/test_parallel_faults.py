@@ -377,45 +377,6 @@ def test_shard_recv_deadline_validation():
         ShardPool(str(PROGRAM), str(EDB), "compiled", 2, max_restarts=-1)
 
 
-def test_shard_poll_backoff_validation():
-    """Satellite: the liveness-poll backoff window must be a sane
-    interval — positive floor, ceiling at or above it."""
-    with pytest.raises(ValueError):
-        ShardPool(str(PROGRAM), str(EDB), "compiled", 2, poll_floor=0)
-    with pytest.raises(ValueError):
-        ShardPool(str(PROGRAM), str(EDB), "compiled", 2, poll_floor=-0.01)
-    with pytest.raises(ValueError):
-        ShardPool(
-            str(PROGRAM), str(EDB), "compiled", 2,
-            poll_floor=0.05, poll_ceiling=0.01,
-        )
-    pool = ShardPool(
-        str(PROGRAM), str(EDB), "compiled", 2,
-        poll_floor=0.002, poll_ceiling=0.002,
-    )
-    assert (pool.poll_floor, pool.poll_ceiling) == (0.002, 0.002)
-
-
-def test_shard_poll_backoff_engine_wiring(sequential):
-    """The engine's shard_poll_floor/ceiling knobs reach the pool, and
-    an aggressive backoff window still reproduces sequential (it can
-    only delay noticing replies, never change them) — including across
-    a healed hang, where the deadline must still fire."""
-    engine = _engine(shard_poll_floor=0.0005, shard_poll_ceiling=0.02)
-    pool = engine.evaluator.shard_pool()  # built lazily, not yet started
-    assert (pool.poll_floor, pool.poll_ceiling) == (0.0005, 0.02)
-    model = engine.run()
-    _assert_identical(model, sequential)
-    model = _run(
-        plan=FaultPlan.inject("shard_worker_hang", at=2),
-        shard_recv_deadline=0.75,
-        shard_poll_floor=0.0005,
-        shard_poll_ceiling=0.05,
-    )
-    _assert_identical(model, sequential)
-    _assert_no_leak()
-
-
 def test_trace_schema_knows_shard_kinds(tmp_path):
     """tools/check_trace.py accepts the supervision events a faulted
     run writes (the CI chaos job relies on this)."""

@@ -28,10 +28,10 @@ REQUIRED_FIELDS = {
     "kernel.batch": ("clause", "variant", "step", "size", "hits", "fast_path"),
     "checkpoint.write": ("path", "bytes", "duration_s"),
     "budget.charge": ("dimension", "amount", "total"),
-    "coverage.cache": ("round", "stratum", "enabled", "hits", "misses"),
+    "coverage.cache": ("round", "stratum", "hits", "misses"),
     "service.job": ("phase", "job_id"),
     "shard.worker": ("phase", "worker", "round"),
-    "shard.dispatch": ("phase", "transport", "workers", "pipe_bytes", "shm_bytes"),
+    "shard.dispatch": ("phase", "workers", "pipe_bytes", "shm_bytes"),
     "shard.degraded": ("reason", "restarts_used", "pending_tasks"),
     "edb.txn": ("root", "tx", "asserted", "retracted", "wal_bytes"),
     "edb.recover": ("root", "checkpoint_tx", "replayed_txns", "truncated_bytes", "head_tx"),
