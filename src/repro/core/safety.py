@@ -59,6 +59,10 @@ def covered_semantic(gt, relation, snapshot=None):
     ``relation.tuples`` itself is the snapshot and no per-derived-tuple
     copy is ever needed."""
     fault_point("coverage")
+    return _covered_semantic_uncached(gt, relation, snapshot)
+
+
+def _covered_semantic_uncached(gt, relation, snapshot):
     remaining = gt.subtract(relation.tuples if snapshot is None else snapshot)
     return all(piece.is_empty() for piece in remaining)
 
@@ -111,10 +115,7 @@ class CoverageChecker:
         fault_point("coverage")
         if self.mode != "paper":
             self.misses += 1
-            remaining = gt.subtract(
-                relation.tuples if snapshot is None else snapshot
-            )
-            return all(piece.is_empty() for piece in remaining)
+            return _covered_semantic_uncached(gt, relation, snapshot)
         signature, key = gt.row_key()
         cache = relation.coverage_cache()
         verdicts = cache.get(signature)

@@ -6,10 +6,10 @@ closure, every projection re-derived the same temporal template for
 every tuple that shared an lrp vector and a constraint zone.  This
 module batches those transformations and memoizes their *temporal
 templates*: the temporal part of a join / selection / extension /
-projection result depends only on the operands' lrp vectors and
-interned constraint ids (the data columns just concatenate or
-project), so one computed result serves every operand pair with the
-same ids.
+projection result depends only on the operation's own parameters and
+the operands' lrp vectors and interned constraint ids (the data
+columns just concatenate or project), so one computed result serves
+every operand pair with the same ids.
 
 Identity of the cache keys rests on the interning layers:
 
@@ -17,12 +17,26 @@ Identity of the cache keys rests on the interning layers:
   canonical zone a dense ``cid``;
 - :mod:`repro.gdb.tuple` interns lrp vectors (``lvid``) and free
   signatures (``sid``) and exposes them via
-  ``GeneralizedTuple.kernel_ids()``.
+  ``GeneralizedTuple.kernel_ids()``;
+- ``_signature_id`` interns each operation's content — the
+  constraint atoms of a join or selection, ``(count, atoms)`` of an
+  extension, ``(keep_temporal, keep_data, shifts)`` of a projection.
 
-Each compiled plan step draws a process-unique ``token`` from
-:func:`next_token`; cache keys are ``(token, ids…)`` so a step's
-pushed-down constraint atoms are part of the key implicitly (two steps
-never share a token).
+Cache keys are ``(signature, ids…)``, computed once per batch call for
+the signature and per operand for the ids.  Because the key is the
+content, not the compiled step, every engine in the process shares the
+templates: a second engine built from the same program text, or a
+service job that resends it, answers its joins from the first one's
+entries.
+
+Each cache is bounded at :data:`CACHE_CAP` entries and evicts first
+in, first out once full, so a long-lived process keeps caching new
+templates instead of freezing its first ``CACHE_CAP`` of them, and a
+full cache stays exactly full.  Lookups take no lock; inserts with
+their evictions, and signature interning, take one module lock.  Two
+contents must never share a signature id (a shared id would serve one
+step another step's templates), so interning uses the double-checked
+pattern of :mod:`repro.gdb.tuple`.
 
 Every batch helper computes exactly what the per-tuple loop it
 replaced would (``tests/test_kernel.py`` checks each against that loop
@@ -33,29 +47,47 @@ modules: results are rebuilt via ``type(operand)(…)``.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
-#: Combined cap across each template cache; past it, batch helpers
-#: keep computing per-tuple without caching new templates.
+#: Entries per template cache; past it, each insert evicts the oldest.
 CACHE_CAP = 1 << 17
+
+#: Interned step signatures; past the cap the content itself is the id.
+_SIGNATURE_CAP = 1 << 20
 
 _UNSET = object()
 
-_JOIN_CACHE = {}      # (token, a_lvid, a_cid, b_lvid, b_cid) -> None | (lrps, cs)
-_SELECT_CACHE = {}    # (token, lvid, cid) -> None | (lrps, cs)
-_EXTEND_CACHE = {}    # (token, lvid, cid) -> None | (lrps, cs)
-_PROJECT_CACHE = {}   # (token, lvid, cid) -> [(lrps, cs), ...]
+_JOIN_CACHE = OrderedDict()     # (sig, a_lvid, a_cid, b_lvid, b_cid) -> None | (lrps, cs)
+_SELECT_CACHE = OrderedDict()   # (sig, lvid, cid) -> None | (lrps, cs)
+_EXTEND_CACHE = OrderedDict()   # (sig, lvid, cid) -> None | (lrps, cs)
+_PROJECT_CACHE = OrderedDict()  # (sig, lvid, cid) -> [(lrps, cs), ...]
 
-_TOKEN_LOCK = threading.Lock()
-_NEXT_TOKEN = 0
+_LOCK = threading.Lock()
+_SIGNATURES = {}                # step content -> sig
 
 
-def next_token():
-    """A process-unique id for one compiled plan step's cache keyspace."""
-    global _NEXT_TOKEN
-    with _TOKEN_LOCK:
-        token = _NEXT_TOKEN
-        _NEXT_TOKEN += 1
-    return token
+def _signature_id(content):
+    """The dense id of one operation's content, assigned on first
+    sight; past the cap the content itself."""
+    ident = _SIGNATURES.get(content)
+    if ident is not None:
+        return ident
+    with _LOCK:
+        ident = _SIGNATURES.get(content)
+        if ident is not None:
+            return ident
+        if len(_SIGNATURES) >= _SIGNATURE_CAP:
+            return content
+        ident = _SIGNATURES[content] = len(_SIGNATURES)
+        return ident
+
+
+def _remember(cache, key, template):
+    """Insert one template, evicting the oldest entries past the cap."""
+    with _LOCK:
+        cache[key] = template
+        while len(cache) > CACHE_CAP:
+            cache.popitem(last=False)
 
 
 def cache_stats():
@@ -79,26 +111,27 @@ def cache_stats():
 # the per-tuple code they replace.
 
 
-def join_batch(pairs, atoms, token, stats=None):
+def join_batch(pairs, atoms, stats=None):
     """Batched fused join: ``a.joined(b, atoms)`` per pair.
 
     Returns a list aligned with ``pairs`` (None where the combined zone
     is unsatisfiable).  The temporal template — the result's lrps and
-    constraints — is memoized per ``(token, operand ids)``.
+    constraints — is memoized per ``(atoms, operand ids)``.
     """
+    sig = _signature_id(tuple(atoms))
     out = []
     hits = 0
     for a, b in pairs:
         alv, _, acid = a.kernel_ids()
         blv, _, bcid = b.kernel_ids()
-        key = (token, alv, acid, blv, bcid)
+        key = (sig, alv, acid, blv, bcid)
         cached = _JOIN_CACHE.get(key, _UNSET)
         if cached is _UNSET:
             result = a.joined(b, atoms)
-            if len(_JOIN_CACHE) < CACHE_CAP:
-                _JOIN_CACHE[key] = (
-                    None if result is None else (result.lrps, result.constraints)
-                )
+            _remember(
+                _JOIN_CACHE, key,
+                None if result is None else (result.lrps, result.constraints),
+            )
             out.append(result)
         else:
             hits += 1
@@ -113,20 +146,21 @@ def join_batch(pairs, atoms, token, stats=None):
     return out
 
 
-def select_batch(tuples, atoms, token, stats=None):
+def select_batch(tuples, atoms, stats=None):
     """Batched selection: ``gt.conjoined(atoms)`` per tuple."""
+    sig = _signature_id(tuple(atoms))
     out = []
     hits = 0
     for gt in tuples:
         lvid, _, cid = gt.kernel_ids()
-        key = (token, lvid, cid)
+        key = (sig, lvid, cid)
         cached = _SELECT_CACHE.get(key, _UNSET)
         if cached is _UNSET:
             result = gt.conjoined(atoms)
-            if len(_SELECT_CACHE) < CACHE_CAP:
-                _SELECT_CACHE[key] = (
-                    None if result is None else (result.lrps, result.constraints)
-                )
+            _remember(
+                _SELECT_CACHE, key,
+                None if result is None else (result.lrps, result.constraints),
+            )
             out.append(result)
         else:
             hits += 1
@@ -141,20 +175,21 @@ def select_batch(tuples, atoms, token, stats=None):
     return out
 
 
-def extend_batch(tuples, count, atoms, token, stats=None):
+def extend_batch(tuples, count, atoms, stats=None):
     """Batched carrier extension: ``gt.extended(count, atoms)`` per tuple."""
+    sig = _signature_id((count, tuple(atoms)))
     out = []
     hits = 0
     for gt in tuples:
         lvid, _, cid = gt.kernel_ids()
-        key = (token, lvid, cid)
+        key = (sig, lvid, cid)
         cached = _EXTEND_CACHE.get(key, _UNSET)
         if cached is _UNSET:
             result = gt.extended(count, atoms)
-            if len(_EXTEND_CACHE) < CACHE_CAP:
-                _EXTEND_CACHE[key] = (
-                    None if result is None else (result.lrps, result.constraints)
-                )
+            _remember(
+                _EXTEND_CACHE, key,
+                None if result is None else (result.lrps, result.constraints),
+            )
             out.append(result)
         else:
             hits += 1
@@ -169,7 +204,7 @@ def extend_batch(tuples, count, atoms, token, stats=None):
     return out
 
 
-def project_batch(tuples, keep_temporal, keep_data, shifts, token, stats=None):
+def project_batch(tuples, keep_temporal, keep_data, shifts, stats=None):
     """Batched projection (+ post-projection column shifts).
 
     For each input tuple, yields the list ``gt.project(keep_temporal,
@@ -179,20 +214,20 @@ def project_batch(tuples, keep_temporal, keep_data, shifts, token, stats=None):
     memoized — data columns are re-projected per tuple, which is a
     plain Python slice.
     """
+    sig = _signature_id((tuple(keep_temporal), tuple(keep_data), tuple(shifts)))
     out = []
     hits = 0
     for gt in tuples:
         lvid, _, cid = gt.kernel_ids()
-        key = (token, lvid, cid)
+        key = (sig, lvid, cid)
         cached = _PROJECT_CACHE.get(key, _UNSET)
         if cached is _UNSET:
             results = gt.project(keep_temporal, keep_data)
             for column, delta in shifts:
                 results = [r.shift_column(column, delta) for r in results]
-            if len(_PROJECT_CACHE) < CACHE_CAP:
-                _PROJECT_CACHE[key] = [
-                    (r.lrps, r.constraints) for r in results
-                ]
+            _remember(
+                _PROJECT_CACHE, key, [(r.lrps, r.constraints) for r in results]
+            )
             out.append(results)
         else:
             hits += 1

@@ -50,7 +50,6 @@ class JoinStep:
         "eq_sels",
         "match_pairs",
         "atoms",
-        "token",
         "_cache",
     )
 
@@ -65,7 +64,6 @@ class JoinStep:
         self.eq_sels = tuple(eq_sels)          # (local first col, local dup col)
         self.match_pairs = tuple(match_pairs)  # (global bound col, local col)
         self.atoms = ()                        # Comparisons, combined column space
-        self.token = kernel.next_token()       # template-cache keyspace
         self._cache = None                     # (source relation, restricted tuples)
 
     @property
@@ -116,7 +114,7 @@ class JoinStep:
                 if stats is not None:
                     stats["size"] = stats.get("size", 0) + len(tuples)
                 return tuples if type(tuples) is list else list(tuples)
-            refined = kernel.select_batch(tuples, self.atoms, self.token, stats)
+            refined = kernel.select_batch(tuples, self.atoms, stats)
             return [gt for gt in refined if gt is not None]
         if self.match_pairs:
             local_cols = [local for (_, local) in self.match_pairs]
@@ -132,24 +130,21 @@ class JoinStep:
                     pairs.append((a, b))
         else:
             pairs = [(a, b) for a in current for b in tuples]
-        joined = kernel.join_batch(pairs, self.atoms, self.token, stats)
+        joined = kernel.join_batch(pairs, self.atoms, stats)
         return [gt for gt in joined if gt is not None]
 
 
 class CarrierStep:
     """Append unconstrained carrier columns and conjoin constraints."""
 
-    __slots__ = ("names", "atoms", "token")
+    __slots__ = ("names", "atoms")
 
     def __init__(self, names, atoms):
         self.names = tuple(names)
         self.atoms = tuple(atoms)
-        self.token = kernel.next_token()
 
     def apply(self, current, stats=None):
-        extended = kernel.extend_batch(
-            current, len(self.names), self.atoms, self.token, stats
-        )
+        extended = kernel.extend_batch(current, len(self.names), self.atoms, stats)
         return [gt for gt in extended if gt is not None]
 
 
@@ -169,7 +164,6 @@ class Projection:
         "constant_slots",
         "head_schema",
         "sheared",
-        "token",
     )
 
     def __init__(self, keep_temporal, shifts, keep_data, constant_slots,
@@ -184,15 +178,13 @@ class Projection:
             for position, offset in enumerate(self.shifts)
             if offset
         )
-        self.token = kernel.next_token()
 
     def apply(self, current, stats=None):
         temporal_arity, data_arity = self.head_schema
         result = []
         slots = dict(self.constant_slots)
         batches = kernel.project_batch(
-            current, self.keep_temporal, self.keep_data, self.sheared,
-            self.token, stats,
+            current, self.keep_temporal, self.keep_data, self.sheared, stats
         )
         for projected_batch in batches:
             for projected in projected_batch:

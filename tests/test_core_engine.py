@@ -8,9 +8,14 @@ the ground tuple-at-a-time oracle on bounded windows.
 import pytest
 
 from repro.core import DeductiveEngine, GroundEvaluator, parse_program
-from repro.core.safety import is_free_extension_safe
+from repro.core.safety import (
+    CoverageChecker,
+    covered_semantic,
+    is_free_extension_safe,
+)
 from repro.gdb import parse_database
 from repro.lrp import Lrp
+from repro.util import hooks
 from repro.util.errors import EvaluationError, GiveUpError
 
 COURSE_EDB = """
@@ -124,6 +129,37 @@ class TestStrategies:
         assert paper.relation("problems").equivalent(
             semantic.relation("problems")
         )
+
+    def test_semantic_coverage_fires_its_fault_site_once_per_test(
+        self, monkeypatch
+    ):
+        """Semantic mode never memoizes, so every coverage test is a
+        miss, and each one passes the ``coverage`` site exactly once."""
+        fired = []
+        monkeypatch.setattr(
+            hooks, "FAULT_HOOK",
+            lambda site: fired.append(site) if site == "coverage" else None,
+        )
+        misses = []
+        sink = hooks.subscribe(
+            lambda kind, fields: misses.append(fields["misses"])
+            if kind == "coverage.cache"
+            else None
+        )
+        try:
+            model = run_example_41(safety="semantic")
+        finally:
+            hooks.unsubscribe(sink)
+        assert model.stats.constraint_safe
+        assert len(fired) == sum(misses) > 0
+
+        relation = model.relation("problems")
+        checker = CoverageChecker("semantic")
+        fired.clear()
+        for gt in relation.tuples:
+            assert checker.covered(gt, relation) == covered_semantic(gt, relation)
+        assert len(fired) == 2 * len(relation.tuples)
+        assert (checker.hits, checker.misses) == (0, len(relation.tuples))
 
     def test_invalid_options(self):
         edb = parse_database(COURSE_EDB)

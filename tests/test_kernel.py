@@ -8,6 +8,9 @@ None in the output list.
 """
 
 import json
+import sys
+import threading
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +141,22 @@ def _keys(results):
     return [None if gt is None else (gt.canonical_key(), gt.data) for gt in results]
 
 
+_CACHES = ("_JOIN_CACHE", "_SELECT_CACHE", "_EXTEND_CACHE", "_PROJECT_CACHE")
+
+
+def _empty_caches(monkeypatch):
+    for name in _CACHES:
+        monkeypatch.setattr(kernel, name, OrderedDict())
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty template caches for one test (the process-wide ones hold
+    whatever earlier tests cached under the same content keys)."""
+    _empty_caches(monkeypatch)
+
+
+@pytest.mark.usefixtures("fresh_caches")
 class TestBatchOps:
     """Each batch op must match the per-tuple loop it replaced (the
     loop the former kernel-off ablation ran), written out here."""
@@ -151,7 +170,7 @@ class TestBatchOps:
         atoms = [Comparison(">=", TemporalTerm(0), TemporalTerm(None, 5))]
         expected = [gt.conjoined(atoms) for gt in tuples]
         stats = {}
-        got = kernel.select_batch(tuples, atoms, kernel.next_token(), stats)
+        got = kernel.select_batch(tuples, atoms, stats)
         assert _keys(got) == _keys(expected)
         assert stats["size"] == 3
         assert stats["hits"] == 1
@@ -161,7 +180,7 @@ class TestBatchOps:
         atoms = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
         expected = [a.joined(b, atoms) for a, b in pairs]
         stats = {}
-        got = kernel.join_batch(pairs, atoms, kernel.next_token(), stats)
+        got = kernel.join_batch(pairs, atoms, stats)
         assert _keys(got) == _keys(expected)
         # The second pair shares both operands' (lvid, cid) ids with the
         # first — data columns differ but the temporal template is shared.
@@ -173,7 +192,7 @@ class TestBatchOps:
         atoms = [Comparison("=", TemporalTerm(0), TemporalTerm(0, 1))]
         pairs = [(_gt(1), _gt(1, "y"))] * 3
         stats = {}
-        got = kernel.join_batch(pairs, atoms, kernel.next_token(), stats)
+        got = kernel.join_batch(pairs, atoms, stats)
         assert got == [None, None, None]
         assert stats["hits"] == 2
 
@@ -182,7 +201,7 @@ class TestBatchOps:
         atoms = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
         expected = [gt.extended(1, atoms) for gt in tuples]
         stats = {}
-        got = kernel.extend_batch(tuples, 1, atoms, kernel.next_token(), stats)
+        got = kernel.extend_batch(tuples, 1, atoms, stats)
         assert _keys(got) == _keys(expected)
         assert got[0].temporal_arity == 2
         assert stats["hits"] == 1
@@ -199,9 +218,7 @@ class TestBatchOps:
             for wide_gt in tuples
         ]
         stats = {}
-        got = kernel.project_batch(
-            tuples, (0,), (1,), ((0, 2),), kernel.next_token(), stats
-        )
+        got = kernel.project_batch(tuples, (0,), (1,), ((0, 2),), stats)
         assert [_keys(results) for results in got] == [
             _keys(results) for results in expected
         ]
@@ -213,6 +230,211 @@ class TestBatchOps:
     def test_cache_stats_shape(self):
         stats = kernel.cache_stats()
         assert set(stats) == {"join", "select", "extend", "project", "cap"}
+
+
+_MEET_PROGRAM = """
+p(t; X) <- seed(t; X).
+p(t + 2; X) <- p(t; X).
+meet(t; X, Y) <- p(t; X), p(t; Y).
+late(t; X) <- meet(t; X, Y), t >= 30.
+"""
+
+_MEET_EDB = 'relation seed[1; 1] { (12n+0; "a"); (12n+5; "b"); }'
+
+
+def _run_meet(program_text=_MEET_PROGRAM):
+    """One fresh engine over the meet program; returns the model and
+    its join steps' ``kernel.batch`` (size, hits) totals."""
+    totals = {"size": 0, "hits": 0}
+
+    def sink(kind, fields):
+        if kind == "kernel.batch" and fields["fast_path"] in (
+            "hash", "fused-closure", "product",
+        ):
+            totals["size"] += fields["size"]
+            totals["hits"] += fields["hits"]
+
+    engine = DeductiveEngine(parse_program(program_text), parse_database(_MEET_EDB))
+    hooks.subscribe(sink)
+    try:
+        model = engine.run()
+    finally:
+        hooks.unsubscribe(sink)
+    return model, totals
+
+
+class TestContentKeys:
+    """Template keys are the operation's content plus the operands'
+    ids, so engines share templates and distinct operations never do."""
+
+    def test_second_engine_hits_the_first_engines_templates(self, fresh_caches):
+        first, first_joins = _run_meet()
+        filled = kernel.cache_stats()
+        second, second_joins = _run_meet()
+        assert str(second) == str(first)
+        assert second_joins["size"] == first_joins["size"] > 0
+        assert second_joins["hits"] > first_joins["hits"]
+        # Nothing new was cached: every lookup of the rerun hit a
+        # template of the first run.
+        assert kernel.cache_stats() == filled
+
+    def test_join_atoms_are_part_of_the_key(self, fresh_caches):
+        pairs = [(_gt(1), _gt(3, "y"))]
+        loose = [Comparison("<=", TemporalTerm(0), TemporalTerm(1, 2))]
+        tight = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
+        kernel.join_batch(pairs, loose)
+        stats = {}
+        got = kernel.join_batch(pairs, tight, stats)
+        assert stats["hits"] == 0
+        assert _keys(got) == _keys([a.joined(b, tight) for a, b in pairs])
+        assert _keys(got) != _keys([a.joined(b, loose) for a, b in pairs])
+
+    def test_select_atoms_are_part_of_the_key(self, fresh_caches):
+        tuples = [_gt(1)]
+        low = [Comparison(">=", TemporalTerm(0), TemporalTerm(None, 5))]
+        high = [Comparison(">=", TemporalTerm(0), TemporalTerm(None, 50))]
+        kernel.select_batch(tuples, low)
+        stats = {}
+        got = kernel.select_batch(tuples, high, stats)
+        assert stats["hits"] == 0
+        assert _keys(got) == _keys([gt.conjoined(high) for gt in tuples])
+        assert _keys(got) != _keys([gt.conjoined(low) for gt in tuples])
+
+    def test_extend_count_and_atoms_are_part_of_the_key(self, fresh_caches):
+        tuples = [_gt(1)]
+        pinned = [Comparison("=", TemporalTerm(1), TemporalTerm(0, 2))]
+        kernel.extend_batch(tuples, 1, pinned)
+        for count, atoms in ((1, []), (2, pinned)):
+            stats = {}
+            got = kernel.extend_batch(tuples, count, atoms, stats)
+            assert stats["hits"] == 0
+            assert _keys(got) == _keys([gt.extended(count, atoms) for gt in tuples])
+
+    def test_projection_parameters_are_part_of_the_key(self, fresh_caches):
+        wide = GeneralizedTuple(
+            (Lrp(24, 1), Lrp(24, 3)),
+            ("x", "y"),
+            ConstraintSystem.parse("T2 = T1 + 2", 2),
+        )
+
+        def expected(keep_temporal, keep_data, shifts):
+            results = wide.project(keep_temporal, keep_data)
+            for column, delta in shifts:
+                results = [r.shift_column(column, delta) for r in results]
+            return _keys(results)
+
+        kernel.project_batch([wide], (0,), (1,), ((0, 2),))
+        variants = (
+            ((1,), (1,), ((0, 2),)),   # other kept temporal column
+            ((0,), (1,), ((0, 5),)),   # other shift
+            ((0,), (1,), ()),          # no shift
+            ((0,), (0,), ((0, 2),)),   # other kept data column
+        )
+        for keep_temporal, keep_data, shifts in variants:
+            stats = {}
+            got = kernel.project_batch([wide], keep_temporal, keep_data, shifts, stats)
+            assert stats["hits"] == 0, (keep_temporal, keep_data, shifts)
+            assert _keys(got[0]) == expected(keep_temporal, keep_data, shifts)
+
+
+class TestEviction:
+    """Each cache holds at most ``CACHE_CAP`` templates, evicting the
+    oldest first, and keeps caching new templates once full."""
+
+    def test_full_cache_stays_at_cap_and_caches_new_templates(
+        self, fresh_caches, monkeypatch
+    ):
+        monkeypatch.setattr(kernel, "CACHE_CAP", 4)
+        atoms = [Comparison(">=", TemporalTerm(0), TemporalTerm(None, 5))]
+        kernel.select_batch([_gt(offset) for offset in range(10)], atoms)
+        assert kernel.cache_stats()["select"] == 4
+        stats = {}
+        kernel.select_batch([_gt(11), _gt(11)], atoms, stats)
+        assert stats["hits"] == 1
+        assert kernel.cache_stats()["select"] == 4
+        # First in, first out: the oldest templates went, the newest stay.
+        stats = {}
+        kernel.select_batch([_gt(0), _gt(9)], atoms, stats)
+        assert stats["hits"] == 1
+        assert kernel.cache_stats()["select"] == 4
+
+    def test_engine_models_unchanged_under_eviction(self, fresh_caches, monkeypatch):
+        reference, _ = _run_meet()
+        monkeypatch.setattr(kernel, "CACHE_CAP", 8)
+        _empty_caches(monkeypatch)
+        model, joins = _run_meet()
+        assert str(model) == str(reference)
+        assert joins["size"] > 8
+        assert kernel.cache_stats()["join"] == 8
+
+
+class TestConcurrentEngines:
+    """The service runs engines on several threads over the shared
+    caches: more threads than cores, with a short switch interval so
+    the interpreter interleaves them finely."""
+
+    @pytest.fixture(autouse=True)
+    def _fine_switching(self):
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(saved)
+
+    def _run_threads(self, work, count):
+        errors = []
+        start = threading.Barrier(count)
+
+        def guarded(slot):
+            try:
+                start.wait(timeout=60)
+                work(slot)
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=guarded, args=(slot,)) for slot in range(count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+
+    def test_threads_match_sequential_models(self, fresh_caches, monkeypatch):
+        texts = [_MEET_PROGRAM, _MEET_PROGRAM.replace("t >= 30", "t <= 40")]
+        expected = [str(_run_meet(text)[0]) for text in texts]
+        monkeypatch.setattr(kernel, "CACHE_CAP", 32)
+        _empty_caches(monkeypatch)
+        got = [[] for _ in range(4)]
+
+        def work(slot):
+            for _ in range(3):
+                engine = DeductiveEngine(
+                    parse_program(texts[slot % 2]), parse_database(_MEET_EDB)
+                )
+                got[slot].append(str(engine.run()))
+
+        self._run_threads(work, 4)
+        assert got == [[expected[slot % 2]] * 3 for slot in range(4)]
+        stats = kernel.cache_stats()
+        assert all(stats[name] <= 32 for name in ("join", "select", "extend", "project"))
+        assert stats["join"] == 32
+
+    def test_signature_ids_stay_one_per_content(self):
+        contents = [("race", k) for k in range(400)]
+        seen = [{} for _ in range(4)]
+
+        def work(slot):
+            order = contents if slot % 2 else contents[::-1]
+            for content in order:
+                seen[slot][content] = kernel._signature_id(content)
+
+        self._run_threads(work, 4)
+        assert all(ids == seen[0] for ids in seen)
+        assert len(set(seen[0].values())) == len(contents)
 
 
 class TestStoreGenerations:
