@@ -40,7 +40,6 @@ EXPERIMENTS = [
     ("service", "service_bench"),
     ("parallel", "parallel_bench"),
     ("edb", "edb_bench"),
-    ("query", "query_bench"),
 ]
 
 #: The benchmark artifacts the consolidated summary reads.
@@ -49,7 +48,6 @@ ARTIFACTS = (
     "BENCH_service.json",
     "BENCH_parallel.json",
     "BENCH_edb.json",
-    "BENCH_query.json",
 )
 
 
@@ -144,31 +142,11 @@ def _edb_lines(payload):
     ]
 
 
-def _query_lines(payload):
-    point = payload["point"]
-    reach = payload["reachability"]
-    return [
-        "- Goal-directed point query on the %d-chain E14 workload: "
-        "**%.1fx** fewer derived tuples than full materialization "
-        "(%d vs %d), answers equivalent within the window."
-        % (
-            payload["chains"],
-            point["tuple_reduction"],
-            point["goal_directed"]["derived_tuples"],
-            point["full"]["derived_tuples"],
-        ),
-        "- Reachability-only goal (no window): **%.1fx** fewer derived "
-        "tuples from clause pruning alone."
-        % reach["tuple_reduction"],
-    ]
-
-
 _SECTIONS = (
     ("BENCH_plan.json", "Plan layer", _plan_lines),
     ("BENCH_service.json", "Query service", _service_lines),
     ("BENCH_parallel.json", "Parallel fixpoint", _parallel_lines),
     ("BENCH_edb.json", "Durable EDB & incremental maintenance", _edb_lines),
-    ("BENCH_query.json", "Goal-directed queries (magic sets)", _query_lines),
 )
 
 
@@ -180,7 +158,7 @@ def write_summary(path="BENCH_SUMMARY.md"):
         "# Benchmark summary",
         "",
         "Headline numbers from the `BENCH_*.json` artifacts; regenerate "
-        "with `python benchmarks/report.py plan service parallel edb query`.",
+        "with `python benchmarks/report.py plan service parallel edb`.",
         "",
     ]
     found = False

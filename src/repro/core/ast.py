@@ -76,7 +76,10 @@ class DataTerm:
         if self.is_variable():
             return self.name
         if isinstance(self.value, str):
-            return '"%s"' % self.value
+            # Escaped as the lexer reads it back, so the text of a
+            # program round-trips (it keys the compiled-program cache).
+            escaped = self.value.replace("\\", "\\\\").replace('"', '\\"')
+            return '"%s"' % escaped
         return str(self.value)
 
 

@@ -1,7 +1,6 @@
 """Bottom-up evaluation with the generalized mapping T_GP (Section 4.3).
 
-Every normalized clause is compiled **once**, at
-:class:`ProgramEvaluator` construction, into a
+Every normalized clause is compiled into a
 :class:`~repro.plan.compiler.ClausePlan` — an operator pipeline with
 greedy join ordering, selection/constraint pushdown, negation as
 anti-join against the exact complements, and the head projection
@@ -11,6 +10,14 @@ product-then-select-then-project formulation survives as
 (``evaluation="reference"``), serving as the correctness oracle and
 the benchmarks' baseline.
 
+Plans are compiled once per content key per process, not once per
+:class:`ProgramEvaluator`: the compiled program — plans or reference
+evaluators, strata, and the stratum layout as clause indexes — is kept
+in :data:`repro.plan.memo.PROGRAMS` under ``(str(program), schemas,
+evaluation)``, so a second evaluator over the same program text reuses
+the first one's plans.  Validation and the EDB arity check still run
+on every construction.
+
 Both the naive strategy (recompute every clause against the full
 interpretation) and the semi-naive strategy (fire a clause only with a
 last-round delta in some intensional body position) are provided; they
@@ -19,9 +26,12 @@ compute the same interpretations.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.core.stratify import stratify
 from repro.core.transform import normalize_program
 from repro.gdb.relation import GeneralizedRelation
+from repro.plan import memo
 from repro.plan.compiler import ClausePlan
 from repro.plan.explain import plan_fingerprint
 from repro.plan.reference import ReferenceClauseEvaluator
@@ -29,6 +39,55 @@ from repro.util import hooks
 from repro.util.errors import SchemaError
 
 _EVALUATION_MODES = ("compiled", "reference")
+
+
+class CompiledProgram(NamedTuple):
+    """What :data:`repro.plan.memo.PROGRAMS` keeps per program: the
+    plans, the clause evaluators (the plans themselves in compiled
+    mode), the strata, each stratum's evaluators as indexes into
+    ``evaluators``, and the program's data constants.  Indexes, not
+    clause identities: two parses of one text have different clause
+    objects but the same clause order."""
+
+    plans: tuple
+    evaluators: tuple
+    strata: tuple
+    layout: tuple
+    constants: frozenset
+
+
+def _compile(program, schemas, intensional, evaluation):
+    normalized = normalize_program(program)
+    plans = tuple(
+        ClausePlan(clause, schemas, intensional) for clause in normalized
+    )
+    if evaluation == "reference":
+        evaluators = tuple(
+            ReferenceClauseEvaluator(clause, schemas, intensional)
+            for clause in normalized
+        )
+    else:
+        evaluators = plans
+    strata, clause_strata = stratify(program)
+    index_of = {
+        id(evaluator.normalized.original): index
+        for index, evaluator in enumerate(evaluators)
+    }
+    layout = tuple(
+        tuple(index_of[id(clause)] for clause in clauses)
+        for clauses in clause_strata
+    )
+    constants = set()
+    for clause in program.clauses:
+        atoms = [clause.head] + clause.predicate_atoms()
+        atoms += [negated.atom for negated in clause.negated_atoms()]
+        for atom in atoms:
+            for term in atom.data_args:
+                if not term.is_variable():
+                    constants.add(term.value)
+    return CompiledProgram(
+        plans, evaluators, tuple(strata), layout, frozenset(constants)
+    )
 
 
 class ProgramEvaluator:
@@ -117,28 +176,21 @@ class ProgramEvaluator:
                     % (name, declared, edb_shape)
                 )
             self.schemas[name] = edb_shape
-        normalized = normalize_program(program)
-        self.plans = [
-            ClausePlan(clause, self.schemas, self.intensional)
-            for clause in normalized
-        ]
-        if evaluation == "reference":
-            self.evaluators = [
-                ReferenceClauseEvaluator(clause, self.schemas, self.intensional)
-                for clause in normalized
-            ]
-        else:
-            self.evaluators = self.plans
-        self.strata, clause_strata = stratify(program)
-        clause_index = {
-            id(evaluator.normalized.original): evaluator
-            for evaluator in self.evaluators
-        }
+        key = (str(program), tuple(sorted(self.schemas.items())), evaluation)
+        compiled = memo.PROGRAMS.lookup(
+            key,
+            lambda: _compile(
+                program, dict(self.schemas), self.intensional, evaluation
+            ),
+        )
+        self.plans = compiled.plans
+        self.evaluators = compiled.evaluators
+        self.strata = compiled.strata
         self.stratum_evaluators = [
-            [clause_index[id(clause)] for clause in clauses]
-            for clauses in clause_strata
+            [self.evaluators[index] for index in layer]
+            for layer in compiled.layout
         ]
-        self._program_constants = self._collect_program_constants()
+        self._program_constants = compiled.constants
         self._domain_cache = None  # (env snapshot, sorted domain)
 
     def plan_fingerprint(self):
@@ -169,21 +221,10 @@ class ProgramEvaluator:
             )
         return complements
 
-    def _collect_program_constants(self):
-        constants = set()
-        for clause in self.program.clauses:
-            atoms = [clause.head] + clause.predicate_atoms()
-            atoms += [negated.atom for negated in clause.negated_atoms()]
-            for atom in atoms:
-                for term in atom.data_args:
-                    if not term.is_variable():
-                        constants.add(term.value)
-        return constants
-
     def active_data_domain(self, env):
         """Every data constant visible in the environment and program.
 
-        The program's own constants are collected once at construction;
+        The program's own constants are collected once per compile;
         the environment scan is cached per relation *identity* — the
         relations are immutable value objects, so the cache goes stale
         exactly when a predicate actually grew (a new instance).

@@ -34,10 +34,14 @@ referencing it by local index), instead of one JSON object per tuple.
 from __future__ import annotations
 
 import pickle
+import threading
 
 from repro.constraints.system import ConstraintSystem
 from repro.gdb.tuple import GeneralizedTuple, signature_id
 from repro.lrp.point import Lrp
+
+
+_INDEX_LOCK = threading.Lock()
 
 
 class ColumnStore:
@@ -96,15 +100,24 @@ class ColumnStore:
                     del self.coverage[key]
 
     # -- incremental indexes ---------------------------------------------
+    #
+    # A relation parsed once may be read by several threads at once (the
+    # service shares parsed EDBs, see repro.plan.memo), so folding rows
+    # into an index happens under _INDEX_LOCK and the watermark moves
+    # only after the rows are in: a reader that sees the watermark at
+    # the row count sees a complete index, and two readers never fold
+    # the same rows twice.  An index that is already current is read
+    # without the lock.
 
     def signature_index(self):
         """``{sid: [tuples…]}`` over all rows, extended incrementally."""
-        rows = self.rows
-        if self._sig_watermark < len(rows):
-            index = self._sig_index
-            for gt in rows[self._sig_watermark:]:
-                index.setdefault(gt.kernel_ids()[1], []).append(gt)
-            self._sig_watermark = len(rows)
+        if self._sig_watermark < len(self.rows):
+            with _INDEX_LOCK:
+                rows = self.rows
+                index = self._sig_index
+                for gt in rows[self._sig_watermark:]:
+                    index.setdefault(gt.kernel_ids()[1], []).append(gt)
+                self._sig_watermark = len(rows)
         return self._sig_index
 
     def tuples_with_signature_id(self, sid):
@@ -113,16 +126,20 @@ class ColumnStore:
 
     def data_index(self, column):
         """``{value: [row positions…]}`` for one data column."""
-        rows = self.rows
         index = self._data_indexes.get(column)
-        if index is None:
-            index = self._data_indexes[column] = {}
-            self._data_watermarks[column] = 0
-        start = self._data_watermarks[column]
-        if start < len(rows):
+        if index is not None and self._data_watermarks[column] == len(self.rows):
+            return index
+        with _INDEX_LOCK:
+            rows = self.rows
+            index = self._data_indexes.get(column)
+            if index is None:
+                index, start = {}, 0
+            else:
+                start = self._data_watermarks[column]
             for position in range(start, len(rows)):
                 index.setdefault(rows[position].data[column], []).append(position)
             self._data_watermarks[column] = len(rows)
+            self._data_indexes[column] = index
         return index
 
 

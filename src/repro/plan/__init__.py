@@ -12,6 +12,8 @@ Every front-end evaluates through this package:
 * :mod:`repro.plan.goal` — conjunction ordering for Templog goals;
 * :mod:`repro.plan.explain` — plan rendering (``repro explain``) and
   the plan fingerprint recorded in checkpoints;
+* :mod:`repro.plan.memo` — the content-keyed caches that compile each
+  program (and rewrite each goal) once per process;
 * :mod:`repro.plan.reference` — the paper-literal product-then-select
   evaluator, kept as the correctness oracle.
 """

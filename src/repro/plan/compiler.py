@@ -1,8 +1,8 @@
 """Compiling normalized clauses into executable plans.
 
 Each :class:`~repro.core.transform.NormalizedClause` is compiled once
-— at :class:`~repro.core.evaluation.ProgramEvaluator` construction —
-into a :class:`ClausePlan` holding one :class:`PlanVariant` per firing
+per program content (see :mod:`repro.plan.memo`) into a
+:class:`ClausePlan` holding one :class:`PlanVariant` per firing
 mode: ``None`` for naive rounds, plus one per intensional body
 position for semi-naive rounds (the delta atom is seeded first, since
 the delta is typically the smallest source).
@@ -316,6 +316,7 @@ class ClausePlan:
         self.negated_predicates = {
             atom.predicate for atom in normalized.negated_atoms
         }
+        fault_point("compile")
         self._validate()
         self.variants = {None: compile_variant(normalized)}
         for position in self.intensional_positions:
@@ -331,7 +332,13 @@ class ClausePlan:
 
     def maintenance_variant(self, position):
         """The delta variant seeded at an extensional body
-        ``position``, compiled on first use (see ``__init__``)."""
+        ``position``, compiled on first use (see ``__init__``).
+
+        Plans are shared across threads (:mod:`repro.plan.memo`).  Two
+        threads asking for the same position at once may both compile
+        it; compilation is deterministic, so whichever variant the dict
+        keeps is equal to the other, and each caller runs a correct one.
+        """
         variant = self._maintenance_variants.get(position)
         if variant is None:
             variant = compile_variant(self.normalized, position)

@@ -46,7 +46,8 @@ rewritten program plus *magic relations*:
 :func:`goal_directed_model` wraps the rewrite around a
 :class:`~repro.core.engine.DeductiveEngine` run and falls back to the
 full fixpoint — recording the ``magic_degraded`` rung — whenever the
-rewrite cannot apply.
+rewrite cannot apply.  It computes each distinct rewrite once per
+process (:func:`cached_rewrite`); the fixpoint itself runs every time.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from repro.core.transform import NormalizedClause, denormalize, normalize_progra
 from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.tuple import GeneralizedTuple
 from repro.lrp.point import Lrp
+from repro.plan import memo
 from repro.plan.compiler import DEMAND_PREFIX
 from repro.util import hooks
 from repro.util.errors import EvaluationError, SchemaError
@@ -573,31 +575,67 @@ def rewrite_for_goal(
         demand_steps=steps,
         widenings=widenings,
     )
-    if hooks.SINKS:
-        hooks.emit(
-            "magic.rewrite",
-            {
-                "goal": str(goal),
-                "reachable": sorted(rewrite.reachable),
-                "restricted": sorted(rewrite.restricted),
-                "demand_rules": rewrite.demand_rules,
-                "dropped_clauses": rewrite.dropped_clauses,
-                "demand_steps": rewrite.demand_steps,
-                "widenings": rewrite.widenings,
-            },
+    _announce(rewrite)
+    return rewrite
+
+
+def _announce(rewrite):
+    """The ``magic.rewrite`` event and one ``magic.seed`` per demand
+    tuple — emitted for every goal-directed evaluation, whether its
+    rewrite was computed or came from :data:`repro.plan.memo.REWRITES`."""
+    if not hooks.SINKS:
+        return
+    hooks.emit(
+        "magic.rewrite",
+        {
+            "goal": str(rewrite.goal),
+            "reachable": sorted(rewrite.reachable),
+            "restricted": sorted(rewrite.restricted),
+            "demand_rules": rewrite.demand_rules,
+            "dropped_clauses": rewrite.dropped_clauses,
+            "demand_steps": rewrite.demand_steps,
+            "widenings": rewrite.widenings,
+        },
+    )
+    for predicate in sorted(rewrite.restricted):
+        name = magic_predicate(predicate)
+        for gt in rewrite.magic_relations[name].tuples:
+            hooks.emit(
+                "magic.seed",
+                {
+                    "predicate": predicate,
+                    "magic": name,
+                    "zone": str(gt.constraints),
+                    "data": list(gt.data),
+                },
+            )
+
+
+def cached_rewrite(program, goal, widen_delay=DEFAULT_WIDEN_DELAY):
+    """:func:`rewrite_for_goal` through :data:`repro.plan.memo.REWRITES`.
+
+    The rewrite reads only the program and the goal, never the EDB, so
+    the key is the program text, the goal and the rewrite parameters.
+    A :class:`MagicUnsupportedError` propagates and is not cached.  The
+    returned rewrite is shared: callers read it and never mutate it
+    (:meth:`MagicRewrite.augmented_edb` copies the EDB per call).
+    """
+    key = (
+        str(program),
+        goal.predicate,
+        goal.low,
+        goal.high,
+        goal.data,
+        widen_delay,
+        DEFAULT_DEMAND_STEPS,
+    )
+    rewrite = memo.REWRITES.get(key)
+    if rewrite is None:
+        rewrite = memo.REWRITES.put(
+            key, rewrite_for_goal(program, goal, widen_delay=widen_delay)
         )
-        for predicate in sorted(restricted):
-            name = magic_predicate(predicate)
-            for gt in magic_relations[name].tuples:
-                hooks.emit(
-                    "magic.seed",
-                    {
-                        "predicate": predicate,
-                        "magic": name,
-                        "zone": str(gt.constraints),
-                        "data": list(gt.data),
-                    },
-                )
+    else:
+        _announce(rewrite)
     return rewrite
 
 
@@ -715,7 +753,7 @@ def goal_directed_model(
         evaluation=evaluation,
     )
     try:
-        rewrite = rewrite_for_goal(program, goal, widen_delay=widen_delay)
+        rewrite = cached_rewrite(program, goal, widen_delay=widen_delay)
     except MagicUnsupportedError as error:
         engine = DeductiveEngine(program, edb, **engine_kwargs)
         model = engine.run(budget=budget)

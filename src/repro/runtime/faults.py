@@ -15,6 +15,12 @@ Instrumented sites
 ``clause``
     Entry of :meth:`repro.plan.compiler.ClausePlan.evaluate` (and of
     the reference evaluator) — one hit per clause firing.
+``compile``
+    Each clause compiled into a
+    :class:`~repro.plan.compiler.ClausePlan` — one hit per clause of a
+    program compile (a program already in
+    :data:`repro.plan.memo.PROGRAMS` compiles nothing, so it does not
+    hit).
 ``dbm_canonicalize``
     :meth:`repro.constraints.dbm.Dbm.close` actually recomputing a
     shortest-path closure (already-closed matrices do not hit).
@@ -92,6 +98,7 @@ from repro.util.errors import ReproError, WorkerDiedError
 #: The site names the library instruments.
 SITES = (
     "clause",
+    "compile",
     "dbm_canonicalize",
     "coverage",
     "checkpoint_write",

@@ -16,6 +16,11 @@ atomic+durable :func:`~repro.runtime.checkpoint.write_checkpoint`
 make that safe even when the previous attempt died mid-write.  A
 corrupt or mismatched checkpoint falls back to a fresh start rather
 than failing the attempt.
+
+Program and EDB texts are parsed through :func:`repro.plan.memo.parsed`:
+a job that resends a text the process has seen reuses the parsed
+objects, which every job and worker thread shares read-only (the
+goal-directed path copies the EDB before adding demand relations).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.core import DeductiveEngine, parse_program
 from repro.datalog1s import minimal_model, parse_datalog1s
 from repro.fo import evaluate_query
 from repro.gdb import parse_database
+from repro.plan import memo
 from repro.runtime.budget import EvaluationBudget
 from repro.templog import parse_templog, templog_minimal_model
 from repro.util.errors import BudgetExceededError, CheckpointError, SchemaError
@@ -130,8 +136,8 @@ class JobExecutor:
         return budget if budget.limited() else None
 
     def _run_deductive(self, spec, backend, budget):
-        program = parse_program(spec.program)
-        edb = parse_database(spec.edb)
+        program = memo.parsed("program", spec.program, parse_program)
+        edb = memo.parsed("edb", spec.edb, parse_database)
         engine = DeductiveEngine(
             program,
             edb,
@@ -176,7 +182,7 @@ class JobExecutor:
         )
 
     def _run_query(self, spec, budget):
-        db = parse_database(spec.edb)
+        db = memo.parsed("edb", spec.edb, parse_database)
         outcome = "ok"
         stats = None
         backend = BACKEND_FO
@@ -184,7 +190,7 @@ class JobExecutor:
         if spec.program:
             from repro.plan.magic import goal_from_formula
 
-            program = parse_program(spec.program)
+            program = memo.parsed("program", spec.program, parse_program)
             engine = DeductiveEngine(
                 program,
                 db,

@@ -51,6 +51,7 @@ import threading
 import time
 
 from repro.obs.metrics import MetricsRegistry
+from repro.plan import memo
 from repro.runtime.report import error_summary
 from repro.service.breaker import CircuitBreaker
 from repro.service.executor import (
@@ -545,8 +546,20 @@ class QueryService:
 
     def metrics_text(self):
         """The Prometheus text exposition: latency histograms, counter
-        mirrors, plus point-in-time gauges refreshed per scrape."""
+        mirrors, plus point-in-time gauges refreshed per scrape.  The
+        front-door cache lookups (:func:`repro.plan.memo.cache_stats`)
+        are process totals, brought up to date per scrape."""
         snapshot = self.stats()
+        lookups = self.metrics.counter(
+            "repro_memo_lookups_total",
+            "Front-door cache lookups (parsed texts, compiled programs, "
+            "magic rewrites) in this process.",
+            labelnames=("cache", "result"),
+        )
+        for cache, counts in memo.cache_stats().items():
+            for result, total in (("hit", counts["hits"]), ("miss", counts["misses"])):
+                child = lookups.labels(cache=cache, result=result)
+                child.inc(max(0, total - child.value))
         self.metrics.gauge(
             "repro_queue_depth", "Jobs waiting in the admission queue."
         ).set(snapshot["queue"]["depth"])

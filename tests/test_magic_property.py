@@ -9,10 +9,8 @@ degradations, and the CLI's typed (numeric-before-lexicographic) sort
 of windowed answers.
 """
 
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +27,8 @@ from repro.plan.magic import (
     magic_predicate,
     rewrite_for_goal,
 )
+
+from tests.e14 import workloads
 
 
 @st.composite
@@ -314,21 +314,12 @@ r(t; X) <- q(t + 1; X).
     assert reports["goal"]["magic"]["dropped_clauses"] == 1
 
 
-def _e14_workloads():
-    """The E14 generators of ``benchmarks/workloads.py``."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("e14_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_point_goal_derives_at_most_half_the_full_fixpoint():
-    """The point scenario of ``benchmarks/query_bench.py``'s 2x gate, as
-    deterministic work counts: one instant of the last chain's join
-    predicate on E14 multi-chain-4 derives at most half the tuples of
-    full materialization, with the same answers in the window."""
-    program, edb = _e14_workloads().multi_chain_workload(chains=4, period=24)
+    """The goal-directed path's acceptance gate, as deterministic work
+    counts: one instant of the last chain's join predicate on E14
+    multi-chain-4 derives at most half the tuples of full
+    materialization, with the same answers in the window."""
+    program, edb = workloads().multi_chain_workload(chains=4, period=24)
     goal = QueryGoal.point("meet3", 13)
     full = DeductiveEngine(program, edb, on_give_up="partial").run()
     directed, info = goal_directed_model(program, edb, goal, on_give_up="partial")
@@ -336,3 +327,18 @@ def test_point_goal_derives_at_most_half_the_full_fixpoint():
     answers = set(directed.extension("meet3", 13, 14))
     assert answers and answers == set(full.extension("meet3", 13, 14))
     assert 2 * directed.stats.total_new_tuples() <= full.stats.total_new_tuples()
+
+
+def test_reachability_goal_equals_full_fixpoint_with_fewer_tuples():
+    """A goal with no window and no bindings restricts by reachability
+    alone: on E14 multi-chain-4 demanding ``p1`` drops the other
+    chains, derives fewer tuples, and answers exactly as the full
+    fixpoint over two periods."""
+    program, edb = workloads().multi_chain_workload(chains=4, period=24)
+    goal = QueryGoal.whole("p1")
+    full = DeductiveEngine(program, edb, on_give_up="partial").run()
+    directed, info = goal_directed_model(program, edb, goal, on_give_up="partial")
+    assert not info.get("degraded"), info
+    answers = set(directed.extension("p1", 0, 48))
+    assert answers and answers == set(full.extension("p1", 0, 48))
+    assert directed.stats.total_new_tuples() < full.stats.total_new_tuples()

@@ -28,6 +28,7 @@ from repro.service.executor import JobExecutor
 from repro.service.jobs import JobSpec
 from repro.util import hooks
 
+from tests.e14 import workloads
 from tests.test_plan_property import edb, program_text
 
 EXAMPLE_41_EDB = """
@@ -178,34 +179,11 @@ def test_start_methods_reproduce_sequential(monkeypatch, start_method):
 INLINE_PIPE_BYTES = 196_348
 
 
-def _multi_chain(chains=6, period=48, shift=2, data_per_chain=4):
-    """E14 multi-chain (``benchmarks/workloads.py``): per chain a
-    period-``period`` seed, a ``+shift`` recursion and a self-join."""
-    edb_parts, program_parts = [], []
-    for chain in range(chains):
-        rows = "".join(
-            ' (%dn+%d; "c%d");' % (period, (chain * 5 + item) % period, item)
-            for item in range(data_per_chain)
-        )
-        edb_parts.append("relation seed%d[1; 1] {%s }" % (chain, rows))
-        program_parts.append("p%d(t; X) <- seed%d(t; X)." % (chain, chain))
-        program_parts.append(
-            "p%d(t + %d; X) <- p%d(t; X)." % (chain, shift, chain)
-        )
-        program_parts.append(
-            "meet%d(t; X, Y) <- p%d(t; X), p%d(t; Y)." % (chain, chain, chain)
-        )
-    return (
-        parse_program("\n".join(program_parts)),
-        parse_database("\n".join(edb_parts)),
-    )
-
-
 def test_shm_transport_keeps_bulk_bytes_off_the_pipes():
     """The wire ledger is deterministic: the same run always moves the
     same bytes, so the shm plane's pipe saving is a fixed bar, not a
     timing."""
-    program, database = _multi_chain()
+    program, database = workloads().multi_chain_workload()
     sequential = DeductiveEngine(program, database, strategy="semi-naive").run()
     engine = DeductiveEngine(
         program, database, strategy="semi-naive", parallelism=2
