@@ -2,14 +2,14 @@
 
 Runs the ``report()`` of each experiment module E1–E14 in order,
 printing the rows recorded in EXPERIMENTS.md, plus the benchmark
-modules (``plan``, ``service``, ``parallel``), which also write their
+modules (``plan``, ``service``, ``edb``), which also write their
 ``BENCH_*.json`` artifacts.  After the selected reports it writes the
 consolidated headline summary to ``BENCH_SUMMARY.md`` at the repo
 root, built from whichever ``BENCH_*.json`` artifacts exist::
 
     python benchmarks/report.py            # all experiments + benches
     python benchmarks/report.py e4 e13     # a selection
-    python benchmarks/report.py parallel   # just BENCH_parallel.json
+    python benchmarks/report.py edb        # just BENCH_edb.json
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ EXPERIMENTS = [
     ("e14", "test_e14_engine_scaling"),
     ("plan", "plan_bench"),
     ("service", "service_bench"),
-    ("parallel", "parallel_bench"),
     ("edb", "edb_bench"),
 ]
 
@@ -46,7 +45,6 @@ EXPERIMENTS = [
 ARTIFACTS = (
     "BENCH_plan.json",
     "BENCH_service.json",
-    "BENCH_parallel.json",
     "BENCH_edb.json",
 )
 
@@ -88,36 +86,6 @@ def _service_lines(payload):
     return lines
 
 
-def _parallel_lines(payload):
-    scaling = payload["e14_multi_chain"]
-    lines = [
-        "- Sharded rounds on the multi-chain E14 workload (%d chains, "
-        "%d usable cpus): sequential %.0f ms, parallel 2 **%.2fx**, "
-        "parallel 4 **%.2fx**."
-        % (
-            scaling["chains"],
-            payload["cpus"],
-            scaling["sequential"]["wall_ms"],
-            scaling["parallel_2"]["speedup"],
-            scaling["parallel_4"]["speedup"],
-        )
-    ]
-    faulted = payload.get("faulted_recovery")
-    if faulted is not None:
-        lines.append(
-            "- Shard-worker crash recovery (one `%s` at parallel %d): "
-            "**%.2fx** the clean parallel wall time, %d worker(s) lost "
-            "and healed."
-            % (
-                faulted["fault_site"],
-                faulted["parallelism"],
-                faulted["recovery_overhead"],
-                faulted["workers_lost"],
-            )
-        )
-    return lines
-
-
 def _edb_lines(payload):
     inserts = payload["insert_stream"]
     recovery = payload["recovery"]
@@ -145,7 +113,6 @@ def _edb_lines(payload):
 _SECTIONS = (
     ("BENCH_plan.json", "Plan layer", _plan_lines),
     ("BENCH_service.json", "Query service", _service_lines),
-    ("BENCH_parallel.json", "Parallel fixpoint", _parallel_lines),
     ("BENCH_edb.json", "Durable EDB & incremental maintenance", _edb_lines),
 )
 
@@ -158,7 +125,7 @@ def write_summary(path="BENCH_SUMMARY.md"):
         "# Benchmark summary",
         "",
         "Headline numbers from the `BENCH_*.json` artifacts; regenerate "
-        "with `python benchmarks/report.py plan service parallel edb`.",
+        "with `python benchmarks/report.py plan service edb`.",
         "",
     ]
     found = False

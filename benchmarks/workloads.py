@@ -45,16 +45,15 @@ def shift_cycle_workload(period, shift, offset=0):
 
 
 def multi_chain_workload(chains=6, period=48, shift=2, data_per_chain=4):
-    """E14's 48-class shift cycle, widened for sharding: ``chains``
-    independent recursive predicates over one period-``period`` seed
-    each, with ``data_per_chain`` data constants riding along.
+    """E14's 48-class shift cycle, widened: ``chains`` independent
+    recursive predicates over one period-``period`` seed each, with
+    ``data_per_chain`` data constants riding along.
 
-    A single shift cycle fires one clause variant per semi-naive round
-    — nothing to shard — so the parallel benchmark runs this variant:
-    per round there are ``chains`` independent firings (one per
-    chain's recursive clause), each deriving ``data_per_chain`` tuples,
-    and a per-chain self-join doubles the work once a chain's classes
-    start accumulating.  The closed form per chain still has
+    A single shift cycle fires one clause variant per semi-naive round;
+    this variant fires ``chains`` independent ones (one per chain's
+    recursive clause), each deriving ``data_per_chain`` tuples, and a
+    per-chain self-join doubles the work once a chain's classes start
+    accumulating.  The closed form per chain still has
     ``period / gcd(period, shift)`` residue classes (Theorem 4.2's
     bound is the seed period), so rounds and totals match E14's shape.
     """

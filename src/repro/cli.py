@@ -33,7 +33,8 @@ introspection and service commands:
 
 ``serve``
     The same service as a line-oriented loop: read one JSON job per
-    input line, emit one JSON result line per job; a ``health`` line
+    input line, emit one JSON result line per job as soon as it
+    finishes (in submission order); a ``health`` line
     answers with the service health snapshot and a ``metrics`` line
     with a Prometheus-style text exposition of the service metrics.
     ``SIGTERM``/``SIGINT`` trigger a graceful shutdown: the loop stops
@@ -123,18 +124,6 @@ EXIT_BUDGET = 4
 
 class _UsageError(Exception):
     """A user-input problem reported as one line with exit code 2."""
-
-
-def _parallel_arg(value):
-    """``--parallel`` accepts a positive process count or ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected a process count or 'auto', got %r" % value
-        ) from None
 
 
 def _read(path):
@@ -260,22 +249,12 @@ def _emit_json_line(report, out):
 def _cmd_run(args, out):
     program = parse_program(_read(args.program))
     edb = parse_database(_read(args.edb))
-    if args.parallel != "auto" and args.parallel < 1:
-        raise _UsageError("--parallel must be a positive process count or 'auto'")
-    if args.shard_recv_deadline is not None and args.shard_recv_deadline <= 0:
-        raise _UsageError("--shard-recv-deadline must be positive")
-    if args.shard_max_restarts is not None and args.shard_max_restarts < 0:
-        raise _UsageError("--shard-max-restarts must be >= 0")
     engine = DeductiveEngine(
         program,
         edb,
         strategy=args.strategy,
         patience=args.patience,
         on_give_up="partial" if args.partial else "raise",
-        parallelism=args.parallel,
-        shard_recv_deadline=args.shard_recv_deadline,
-        shard_max_restarts=args.shard_max_restarts,
-        shard_fallback=not args.no_shard_fallback,
     )
     if args.checkpoint_every is not None:
         if args.checkpoint_every < 1:
@@ -338,12 +317,6 @@ def _cmd_run(args, out):
         return code
 
     stats = model.stats
-    if stats.shard_degraded is not None:
-        print(
-            "%% shard pool lost, finished sequentially: %s"
-            % stats.shard_degraded.get("reason", "unknown"),
-            file=sys.stderr,
-        )
     print(
         "%% %d strata, %d rounds, constraint safe: %s%s"
         % (
@@ -706,7 +679,6 @@ def _build_service(args):
         ),
         default_deadline=args.deadline,
         work_dir=args.work_dir,
-        max_parallelism=args.max_parallelism,
     )
 
 
@@ -796,7 +768,9 @@ class _GracefulShutdown(Exception):
 
 
 def _cmd_serve(args, out):
+    import queue
     import signal
+    import threading
 
     plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
     if args.input is not None:
@@ -808,19 +782,38 @@ def _cmd_serve(args, out):
     from repro.service import JobSpec
     from repro.util.errors import ServiceError
 
-    pending = []
+    # The reader loop submits jobs; a writer thread prints each result
+    # line as soon as its job finishes, in submission order, so a
+    # client waiting on an answer gets it without sending more input.
+    # ``lock`` guards ``out`` (health and metrics lines too), ``states``
+    # and the count of submitted jobs whose line is not yet written.
+    lock = threading.Lock()
+    submitted = queue.Queue()  # JobHandles in submission order; None ends
     states = set()
+    pending = [0]
+    write_failed = []
     stopped = {"signal": None}
 
-    def flush(block=False):
-        while pending:
-            handle = pending[0]
-            if not block and not handle.done():
-                return
-            result = handle.result()
-            states.add(result.state)
-            _emit_json_line(result.to_json_dict(), out)
-            pending.pop(0)
+    def write_results():
+        try:
+            for handle in iter(submitted.get, None):
+                result = handle.result()
+                with lock:
+                    states.add(result.state)
+                    _emit_json_line(result.to_json_dict(), out)
+                    pending[0] -= 1
+        except OSError as error:
+            write_failed.append(error)
+
+    def emit(payload):
+        with lock:
+            _emit_json_line(payload, out)
+
+    def finish_writing():
+        submitted.put(None)
+        writer.join()
+        if write_failed:
+            raise write_failed[0]
 
     def _on_signal(signum, frame):
         stopped["signal"] = signum
@@ -837,53 +830,65 @@ def _cmd_serve(args, out):
 
     with _installed_or_noop(plan), _tracing(args):
         with _build_service(args) as service:
+            writer = threading.Thread(
+                target=write_results, name="repro-serve-writer", daemon=True
+            )
+            writer.start()
             try:
                 for number, line in enumerate(stream, start=1):
+                    if write_failed:
+                        raise write_failed[0]
                     line = line.strip()
                     if not line:
                         continue
                     if line in ("health", '"health"') or line == '{"op": "health"}':
-                        _emit_json_line(service.health(), out)
+                        emit(service.health())
                         continue
                     if line in ("metrics", '"metrics"') or line == '{"op": "metrics"}':
-                        _emit_metrics(service, out)
+                        with lock:
+                            _emit_metrics(service, out)
                         continue
                     try:
                         payload = json.loads(line)
                         if isinstance(payload, dict) and payload.get("op") == "health":
-                            _emit_json_line(service.health(), out)
+                            emit(service.health())
                             continue
                         if isinstance(payload, dict) and payload.get("op") == "metrics":
-                            _emit_metrics(service, out)
+                            with lock:
+                                _emit_metrics(service, out)
                             continue
                         spec = JobSpec.from_json_dict(
                             _resolve_job_files(payload, base_dir),
                             default_id="job-%d" % number,
                         )
-                        pending.append(service.submit(spec))
+                        handle = service.submit(spec)
+                        with lock:
+                            pending[0] += 1
+                        submitted.put(handle)
                     except (ValueError, ServiceError, _UsageError) as error:
-                        _emit_json_line(
-                            {
-                                "job_id": "job-%d" % number,
-                                "state": "rejected",
-                                "outcome": "error",
-                                "error": {
-                                    "type": type(error).__name__,
-                                    "message": str(error),
+                        with lock:
+                            states.add("rejected")
+                            _emit_json_line(
+                                {
+                                    "job_id": "job-%d" % number,
+                                    "state": "rejected",
+                                    "outcome": "error",
+                                    "error": {
+                                        "type": type(error).__name__,
+                                        "message": str(error),
+                                    },
                                 },
-                            },
-                            out,
-                        )
-                        states.add("rejected")
-                    flush()
-                flush(block=True)
+                                out,
+                            )
+                finish_writing()
             except _GracefulShutdown:
                 # Drain: every already-submitted job finishes and its
                 # result line is written before the service closes
                 # (flushing metrics) and _tracing closes the recorder.
-                drained = len(pending)
+                with lock:
+                    drained = pending[0]
                 try:
-                    flush(block=True)
+                    finish_writing()
                 except _GracefulShutdown:
                     pass  # second signal: stop waiting, close now
                 print(
@@ -892,6 +897,7 @@ def _cmd_serve(args, out):
                     file=sys.stderr,
                 )
             finally:
+                submitted.put(None)
                 for signum, handler in previous_handlers.items():
                     try:
                         signal.signal(signum, handler)
@@ -1184,36 +1190,6 @@ def build_parser():
     )
     run.add_argument("--patience", type=int, default=10)
     run.add_argument(
-        "--parallel",
-        type=_parallel_arg,
-        default=1,
-        metavar="N|auto",
-        help="shard each round's clause firings across N processes "
-        "(default 1: sequential; the model is identical either way); "
-        "'auto' starts sequential and upshifts only when a measured "
-        "round is big enough to pay the dispatch overhead",
-    )
-    run.add_argument(
-        "--shard-recv-deadline",
-        type=float,
-        metavar="SECONDS",
-        help="seconds a silent shard worker is waited on mid-round "
-        "before being declared hung and its tasks retried (default 30)",
-    )
-    run.add_argument(
-        "--shard-max-restarts",
-        type=int,
-        metavar="N",
-        help="shard-worker respawns allowed per run before a lost "
-        "worker stays lost (default 2)",
-    )
-    run.add_argument(
-        "--no-shard-fallback",
-        action="store_true",
-        help="fail the run when the whole shard pool is lost instead "
-        "of finishing it sequentially in-process",
-    )
-    run.add_argument(
         "--fault-plan",
         metavar="PATH",
         help="JSON fault plan installed around the run (deterministic "
@@ -1498,14 +1474,6 @@ def _add_service(parser):
         help="directory for per-job checkpoints (temporary by default)",
     )
     parser.add_argument(
-        "--max-parallelism",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on per-job shard parallelism "
-        "(default: cpu count divided by --workers)",
-    )
-    parser.add_argument(
         "--fault-plan",
         metavar="PATH",
         help="JSON fault plan to install for the whole run (testing)",
@@ -1516,7 +1484,13 @@ def main(argv=None, out=None):
     """Entry point; returns a process exit code."""
     out = out or sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        print(
+            "error: unrecognized arguments: %s" % " ".join(unknown),
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         return args.handler(args, out)
     except _UsageError as error:

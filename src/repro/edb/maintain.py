@@ -18,7 +18,7 @@ represented, infinite) model from scratch per transaction:
   negation, multiple strata, a schema change, or an overdeletion
   larger than ``rederive_budget`` — **degrades to a from-scratch
   recompute**, recorded in the model's stats as ``maintain_degraded``
-  (the same rung pattern as ``shard_degraded``) rather than failing.
+  (the same rung pattern as ``magic_degraded``) rather than failing.
 
 Every successful delta application emits one ``maintain.delta`` event
 and leaves :attr:`MaterializedModel.last_report` describing what

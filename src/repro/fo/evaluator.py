@@ -78,6 +78,9 @@ class Answers:
         flats = sorted(self.relation.extension(low, high), key=typed_sort_key)
         return [dict(zip(names, flat)) for flat in flats]
 
+    def __str__(self):
+        return str(self.relation)
+
 
 def evaluate_query(db, query, extra_relations=None, budget=None):
     """Evaluate an FO query (text or AST) against a generalized

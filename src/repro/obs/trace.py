@@ -13,11 +13,7 @@ reader never has to pair begin/end lines (round events do carry a
 ``plan.operator`` events into per-operator totals (invocations, input
 and output cardinalities, wall time), keyed by clause and step — the
 data behind ``repro explain --profile`` and the plan benchmark's
-operator table.  Events from shard workers arrive pre-aggregated
-(``aggregated: True`` with a ``count`` of folded invocations — see
-:meth:`repro.plan.shard.ShardPool.flush_worker_stats`); the collector
-credits their totals so parallel profiles report the worker-side work
-instead of under-counting it.
+operator table.
 """
 
 from __future__ import annotations
@@ -127,15 +123,10 @@ class ProfileCollector:
                     "output_tuples": 0,
                     "seconds": 0.0,
                 }
-            entry["invocations"] += fields.get("count", 1)
+            entry["invocations"] += 1
             entry["input_tuples"] += fields.get("in", 0)
             entry["output_tuples"] += fields.get("out", 0)
             entry["seconds"] += fields.get("duration_s", 0.0)
-            if fields.get("aggregated"):
-                # Worker-side totals flushed at a stratum boundary:
-                # they span many rounds, so they cannot be attributed
-                # to whichever round is current.
-                return
             if fields.get("op") == "projection" and self._current_round is not None:
                 bucket = self.rounds.setdefault(
                     self._current_round, {"derived_tuples": 0}

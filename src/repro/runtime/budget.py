@@ -162,10 +162,8 @@ class BudgetMeter:
         self.check_deadline("clause firing")
 
     def tick_stratum(self):
-        """Deadline-only check at a stratum boundary — the engine's
-        coarse governor hook between the per-stratum shard broadcasts.
-        Emits no ``budget.charge`` event, so parallel and sequential
-        runs keep byte-identical event streams."""
+        """Deadline-only check at a stratum boundary.  Emits no
+        ``budget.charge`` event."""
         self.check_deadline("stratum boundary")
 
     def snapshot(self):

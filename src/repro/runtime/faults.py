@@ -43,21 +43,6 @@ Instrumented sites
     A service worker about to hand a finished attempt's result back to
     the supervisor — a fault here loses the attempt after the work was
     done, exactly the window retry-with-resume is for.
-``shard_dispatch``
-    Parent-side send of one round slice to one shard worker
-    (:meth:`repro.plan.shard.ShardPool.run_round`) — an injected fault
-    is handled exactly like pipe loss: the worker is discarded and its
-    slice retried on the survivors.
-``shard_worker_crash``
-    Hit once per worker per round dispatch, *before* the send; a
-    triggered fault SIGKILLs that worker — a real process death, so
-    the supervision loop exercises its real broken-pipe / EOF
-    detection, retry, and respawn paths.
-``shard_worker_hang``
-    As ``shard_worker_crash``, but the triggered fault wedges the
-    worker in a sleep loop instead, exercising the deadline-bounded
-    receive (the parent kills the hung worker once the deadline
-    expires and retries its slice).
 ``wal_append``
     :meth:`repro.edb.wal.Wal.append` after framing a record but
     *before* any byte reaches the segment file — a fault here loses
@@ -106,9 +91,6 @@ SITES = (
     "submit",
     "worker_start",
     "result_return",
-    "shard_dispatch",
-    "shard_worker_crash",
-    "shard_worker_hang",
     "wal_append",
     "wal_fsync",
     "wal_rotate",

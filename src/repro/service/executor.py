@@ -26,7 +26,7 @@ goal-directed path copies the EDB before adding demand relations).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import DeductiveEngine, parse_program
@@ -53,21 +53,17 @@ class AttemptOutcome:
     ``outcome`` is ``"ok"``, ``"gave-up"``, or ``"budget-exceeded"``
     (the latter two map to the ``partial`` job state); ``resumed``
     reports whether this attempt continued from a checkpoint.
-    ``shard_degraded`` is True when a parallel attempt lost its whole
-    shard pool and finished sequentially in-process — the result is
-    still exact, so the attempt completes (no retry is burned) and the
-    service annotates the job's degradation ladder instead.
+    ``model`` is kept as computed; the job report renders its text
+    only when it is read (:attr:`repro.service.jobs.JobResult.model_text`).
     """
 
     outcome: str
     backend: str
     model: Optional[object] = None
-    model_text: Optional[str] = None
     stats: Optional[dict] = None
     error: Optional[BaseException] = None
     resumed: bool = False
     window: Optional[dict] = None
-    shard_degraded: bool = False
     #: True when a goal-directed query attempt fell back to the full
     #: fixpoint (the "magic → full" rung): the result is still exact,
     #: so the attempt completes and the pool annotates the job's
@@ -76,30 +72,11 @@ class AttemptOutcome:
 
 
 class JobExecutor:
-    """Runs single attempts; owns the per-job checkpoint files.
+    """Runs single attempts; owns the per-job checkpoint files."""
 
-    ``max_parallelism`` caps what any one job's ``parallelism`` request
-    may claim — the service sets it from its worker-pool size so
-    concurrent jobs cannot multiply shard processes past the host.
-    """
-
-    def __init__(self, work_dir=None, checkpoint_every=1, max_parallelism=None):
+    def __init__(self, work_dir=None, checkpoint_every=1):
         self.work_dir = work_dir
         self.checkpoint_every = checkpoint_every
-        self.max_parallelism = max_parallelism
-
-    def effective_parallelism(self, spec):
-        """The shard count this job actually runs with: its request,
-        clamped to the executor cap (both default to 1/sequential).
-        An ``"auto"`` request passes through — the engine's governor
-        decides, bounded by the same cap (see
-        :meth:`_run_deductive`)."""
-        requested = spec.parallelism or 1
-        if requested == "auto":
-            return "auto"
-        if self.max_parallelism is not None:
-            return max(1, min(requested, self.max_parallelism))
-        return requested
 
     def checkpoint_path(self, spec):
         """Where ``run`` attempts for this job checkpoint (``None``
@@ -145,8 +122,6 @@ class JobExecutor:
             patience=spec.patience,
             on_give_up="partial",
             evaluation=backend,
-            parallelism=self.effective_parallelism(spec),
-            auto_parallelism_cap=self.max_parallelism,
         )
         path = self.checkpoint_path(spec)
         resume_from = path if path is not None and os.path.exists(path) else None
@@ -166,19 +141,15 @@ class JobExecutor:
                 resume_from = None
                 model = engine.run(resume_from=None, **run_kwargs)
         except BudgetExceededError as error:
-            outcome = self._budget_outcome(spec, backend, error)
-            outcome.shard_degraded = engine.evaluator.shard_degraded is not None
-            return outcome
+            return self._budget_outcome(spec, backend, error)
         outcome = "gave-up" if model.stats.gave_up else "ok"
         return AttemptOutcome(
             outcome=outcome,
             backend=backend,
             model=model,
-            model_text=str(model),
             stats=model.stats.to_dict(),
             resumed=model.stats.resumed_from_round is not None,
             window=self._model_window(spec, model),
-            shard_degraded=engine.evaluator.shard_degraded is not None,
         )
 
     def _run_query(self, spec, budget):
@@ -243,7 +214,6 @@ class JobExecutor:
             outcome=outcome,
             backend=backend,
             model=answers,
-            model_text=str(answers.relation),
             stats=stats,
             window=window,
             magic_degraded=magic_degraded,
@@ -268,7 +238,6 @@ class JobExecutor:
             outcome=outcome,
             backend=backend,
             model=model,
-            model_text=str(model),
             stats=model.stats.to_dict(),
             window=self._model_window(spec, model),
         )
@@ -288,7 +257,6 @@ class JobExecutor:
             outcome="ok",
             backend=BACKEND_CLOSED_FORM,
             model=model,
-            model_text=str(model),
         )
 
     # -- shared shapes ----------------------------------------------------
@@ -307,7 +275,6 @@ class JobExecutor:
             outcome="budget-exceeded",
             backend=backend,
             model=model,
-            model_text=None if model is None else str(model),
             stats=stats,
             error=error,
             resumed=resumed,

@@ -10,19 +10,13 @@ for every admitted job: ``ok``, ``partial`` (typed degraded result),
 resilience trace (``attempts``, ``backend``, ``degradation``,
 ``resumed``) so batch consumers can see *how* an answer was produced,
 not just what it is.
-
-``run`` jobs may request sharded round evaluation with
-``parallelism``; the service caps the request against its own
-worker-pool capacity (see :class:`~repro.service.pool.QueryService`),
-because ``workers`` engine threads each forking ``N`` shard processes
-would otherwise oversubscribe the host.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 #: The front ends a job may target.  ``maintain`` jobs refresh a
 #: materialized model over a durable EDB store (:mod:`repro.edb`)
@@ -65,10 +59,6 @@ class JobSpec:
     patience: int = 10
     strategy: str = "semi-naive"
     window: Optional[Tuple[int, int]] = None
-    #: Shard processes for the fixpoint: a fixed count, or ``"auto"``
-    #: to let the engine's dispatch-overhead governor decide per run
-    #: (the executor's cap applies either way).
-    parallelism: Optional[Union[int, str]] = None
     #: ``query`` jobs with an inline ``program``: evaluate only the
     #: query's demand cone via the magic-set rewrite
     #: (:mod:`repro.plan.magic`), the binding pattern taken from the
@@ -87,11 +77,6 @@ class JobSpec:
             raise ValueError("job_id must be non-empty")
         if self.kind == "maintain" and not self.store:
             raise ValueError("maintain jobs require a store directory")
-        if self.parallelism is not None and self.parallelism != "auto":
-            if not isinstance(self.parallelism, int) or self.parallelism < 1:
-                raise ValueError(
-                    "parallelism must be a positive process count or 'auto'"
-                )
 
     def program_key(self):
         """A stable digest identifying this job's *program* — the unit
@@ -123,7 +108,6 @@ class JobSpec:
             patience=payload.get("patience", 10),
             strategy=payload.get("strategy", "semi-naive"),
             window=None if window is None else (int(window[0]), int(window[1])),
-            parallelism=payload.get("parallelism"),
             goal_directed=bool(payload.get("goal_directed", False)),
         )
 
@@ -138,13 +122,13 @@ class JobResult:
     clause-evaluation backend produced the answer (``compiled`` or, a
     rung down the degradation ladder, ``reference``); ``degradation``
     lists the rungs taken (``"reference-backend"``,
-    ``"partial-model"``, and ``"shard-sequential"`` when a parallel
-    attempt lost its shard pool and finished sequentially in-process —
-    the result is still exact, so the state stays ``ok``).  ``resumed``
-    is True when any retry resumed from the job's checkpoint instead
-    of restarting from round 0.
+    ``"partial-model"``, and ``"magic-full"`` when a goal-directed
+    query fell back to the full fixpoint — the result is still exact,
+    so the state stays ``ok``).  ``resumed`` is True when any retry
+    resumed from the job's checkpoint instead of restarting from
+    round 0.
     ``model`` keeps the in-memory model object for library callers; the
-    JSON form carries ``model_text``.
+    JSON form carries :attr:`model_text`, rendered from it on read.
     """
 
     job_id: str
@@ -153,7 +137,6 @@ class JobResult:
     attempts: int = 0
     backend: Optional[str] = None
     degradation: List[str] = field(default_factory=list)
-    model_text: Optional[str] = None
     model: Optional[object] = None
     error: Optional[dict] = None
     stats: Optional[dict] = None
@@ -164,6 +147,12 @@ class JobResult:
     def __post_init__(self):
         if self.state not in TERMINAL_STATES:
             raise ValueError("non-terminal job state %r" % self.state)
+
+    @property
+    def model_text(self):
+        """The model's text form (``None`` without a model), rendered
+        when read: only the JSON report needs it."""
+        return None if self.model is None else str(self.model)
 
     def terminal(self):
         """Always True — constructing a result *is* reaching a terminal

@@ -210,11 +210,6 @@ class QueryService:
         Extra seconds past a job's deadline before the supervisor
         declares the worker hung and abandons it (jobs without any
         deadline are never declared hung).
-    max_parallelism:
-        Cap on any one job's requested shard ``parallelism``.  Defaults
-        to ``cpu_count // workers`` (at least 1) so ``workers``
-        concurrent jobs forking shard pools cannot oversubscribe the
-        host.
     sleeper / clock:
         Injectable for tests.
     metrics:
@@ -241,22 +236,11 @@ class QueryService:
         sleeper=None,
         clock=None,
         metrics=None,
-        max_parallelism=None,
     ):
         if workers < 0:
             raise ValueError("workers must be non-negative")
         if queue_limit < 1:
             raise ValueError("queue_limit must be positive")
-        if max_parallelism is None:
-            # Default cap: split the host's cores across the engine
-            # workers, so `workers` jobs each forking their shard pool
-            # cannot oversubscribe the machine.
-            max_parallelism = max(
-                1, (os.cpu_count() or 1) // max(1, workers)
-            )
-        elif max_parallelism < 1:
-            raise ValueError("max_parallelism must be positive")
-        self.max_parallelism = max_parallelism
         self.configured_workers = workers
         self.queue_limit = queue_limit
         self.retry = retry or RetryPolicy()
@@ -274,9 +258,7 @@ class QueryService:
             os.makedirs(work_dir, exist_ok=True)
         self.work_dir = work_dir
         self.executor = JobExecutor(
-            work_dir=work_dir,
-            checkpoint_every=checkpoint_every,
-            max_parallelism=max_parallelism,
+            work_dir=work_dir, checkpoint_every=checkpoint_every
         )
 
         self._queue = collections.deque()
@@ -516,7 +498,6 @@ class QueryService:
                     "resumed",
                     "degraded_backend",
                     "degraded_partial",
-                    "degraded_shard",
                     "degraded_magic",
                     "shed",
                     "breaker_rejections",
@@ -818,13 +799,6 @@ class QueryService:
 
     def _finish_outcome(self, job, worker, outcome):
         job.resumed = job.resumed or outcome.resumed
-        if getattr(outcome, "shard_degraded", False):
-            # The attempt lost its shard pool and finished sequentially
-            # in-process — exact result, so no retry is burned; the
-            # downshift is recorded on the degradation ladder instead.
-            if "shard-sequential" not in job.degradation:
-                job.degradation.append("shard-sequential")
-            self._count("degraded_shard")
         if getattr(outcome, "magic_degraded", False):
             # A goal-directed query fell back to the full fixpoint —
             # exact (indeed larger) result, so the state is untouched;
@@ -854,7 +828,6 @@ class QueryService:
                 attempts=job.attempts,
                 backend=outcome.backend,
                 degradation=list(job.degradation),
-                model_text=outcome.model_text,
                 model=outcome.model,
                 error=error_summary(outcome.error),
                 stats=stats,

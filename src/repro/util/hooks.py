@@ -40,16 +40,6 @@ Event kinds are dotted names; the canonical vocabulary is
 ``service.job``       job lifecycle: submit / reject / dequeue /
                       attempt / outcome, with retry and degradation
                       annotations
-``shard.worker``      shard-pool supervision: a worker lost (crash /
-                      hang / dispatch failure, with exit code), a
-                      replacement respawned, a task slice retried
-``shard.dispatch``    shard-pool transport ledger: one per stratum
-                      broadcast and one per round, with the worker
-                      count and the pipe / shared-memory byte and
-                      segment totals moved in that phase
-``shard.degraded``    a parallel run lost its whole shard pool beyond
-                      healing and downshifted to sequential: reason,
-                      restarts used, tasks still pending
 ``edb.txn``           one per committed EDB transaction: tx id, op
                       counts, WAL bytes appended
 ``edb.recover``       one per store open: checkpoint tx, transactions

@@ -124,6 +124,17 @@ class TestRun:
         assert code == 3
         assert "gave up" in output
 
+    def test_unknown_flag_is_a_one_line_usage_error(self, files, capsys):
+        code, output = run_cli(
+            ["run", files["program.dtl"], "--edb", files["edb.gdb"],
+             "--processes", "2"]
+        )
+        assert code == 2
+        assert output == ""
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --processes 2\n"
+        )
+
 
 class TestStatsAndVerify:
     def test_stats_flag(self, files):
@@ -804,43 +815,86 @@ class TestTxnCrashRecovery:
         assert code == 0
 
 
+def _serve_process(files):
+    """A ``repro serve --workers 1`` subprocess with piped stdio, one
+    ``run`` job (id ``j1``) already written to its stdin, which stays
+    open."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
+            "serve",
+            "--workers",
+            "1",
+        ],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    job = json.dumps(
+        {
+            "id": "j1",
+            "kind": "run",
+            "program_file": files["program.dtl"],
+            "edb_file": files["edb.gdb"],
+        }
+    )
+    proc.stdin.write(job + "\n")
+    proc.stdin.flush()
+    return proc
+
+
 class TestServeShutdown:
+    def test_result_line_arrives_while_stdin_stays_open(self, files):
+        """A client that sends one job and waits gets its answer: the
+        result line is written when the job finishes, not when the next
+        input line arrives."""
+        import queue
+        import subprocess
+        import threading
+
+        proc = _serve_process(files)
+        lines = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: lines.put(proc.stdout.readline()), daemon=True
+        )
+        reader.start()
+        try:
+            line = lines.get(timeout=30)
+        except queue.Empty:
+            proc.kill()
+            proc.communicate()
+            pytest.fail("no result line within 30s while stdin stayed open")
+        result = json.loads(line)
+        assert result["job_id"] == "j1"
+        assert result["state"] == "ok"
+        proc.stdin.close()
+        try:
+            assert proc.wait(timeout=30) == 0
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+        finally:
+            proc.stdout.close()
+            proc.stderr.close()
+
     def test_sigterm_drains_and_exits_zero(self, files, tmp_path):
         import signal
         import subprocess
-        import sys
         import time
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src")]
-            + env.get("PYTHONPATH", "").split(os.pathsep)
-        )
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
-                "serve",
-                "--workers",
-                "1",
-            ],
-            env=env,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        job = json.dumps(
-            {
-                "id": "j1",
-                "kind": "run",
-                "program_file": files["program.dtl"],
-                "edb_file": files["edb.gdb"],
-            }
-        )
-        proc.stdin.write(job + "\n")
-        proc.stdin.flush()
+        proc = _serve_process(files)
         # Give the job time to be submitted, then interrupt the loop.
         time.sleep(1.0)
         proc.send_signal(signal.SIGTERM)

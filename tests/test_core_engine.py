@@ -10,8 +10,8 @@ import pytest
 from repro.core import DeductiveEngine, GroundEvaluator, parse_program
 from repro.core.safety import (
     CoverageChecker,
+    covered_paper,
     covered_semantic,
-    is_free_extension_safe,
 )
 from repro.gdb import parse_database
 from repro.lrp import Lrp
@@ -409,3 +409,105 @@ class TestGroundEvaluator:
         ground = GroundEvaluator(program, edb, 0, 5)
         ground.run()
         assert ground.extension("p") == {(0, "x"), (2, "x"), (4, "x")}
+
+
+# -- coverage cache ---------------------------------------------------------
+
+
+def _single_tuple(text):
+    return parse_database(text).relation("r")
+
+
+def test_coverage_cache_hits_on_retest():
+    relation = _single_tuple("relation r[1; 0] { (2n) where T1 >= 0; }")
+    candidate = _single_tuple(
+        "relation r[1; 0] { (2n+4) where T1 >= 0; }"
+    ).tuples[0]
+    checker = CoverageChecker("paper")
+    assert checker.covered(candidate, relation)
+    assert (checker.hits, checker.misses) == (0, 1)
+    assert checker.covered(candidate, relation)
+    assert (checker.hits, checker.misses) == (1, 1)
+
+
+def test_coverage_cache_invalidated_by_insert():
+    """A negative verdict must not survive an insert that touches its
+    signature — the inserted tuple may be exactly what covers it."""
+    relation = _single_tuple("relation r[1; 0] { (4n) where T1 >= 0; }")
+    candidate = _single_tuple(
+        "relation r[1; 0] { (4n+2) where T1 >= 0; }"
+    ).tuples[0]
+    checker = CoverageChecker("paper")
+    assert not checker.covered(candidate, relation)
+    grown = relation.with_tuples([candidate])
+    assert grown.coverage_generation == relation.coverage_generation + 1
+    assert checker.covered(candidate, grown)
+    # The re-test on the grown relation recomputed (miss), then caches.
+    assert checker.misses == 2
+    assert checker.covered(candidate, grown)
+    assert checker.hits == 1
+
+
+def test_coverage_cache_positive_verdicts_survive_other_inserts():
+    """True verdicts are monotone (coverage only grows), so an insert
+    at a *different* signature keeps them warm."""
+    relation = _single_tuple(
+        'relation r[1; 1] { (2n; "x") where T1 >= 0; }'
+    )
+    covered = _single_tuple(
+        'relation r[1; 1] { (2n+4; "x") where T1 >= 0; }'
+    ).tuples[0]
+    other = _single_tuple(
+        'relation r[1; 1] { (3n; "y") where T1 >= 0; }'
+    ).tuples[0]
+    checker = CoverageChecker("paper")
+    assert checker.covered(covered, relation)
+    grown = relation.with_tuples([other])
+    assert checker.covered(covered, grown)
+    assert (checker.hits, checker.misses) == (1, 1)
+
+
+def test_coverage_cache_events_and_model_identity(monkeypatch):
+    """Example 4.1 naive: every verdict the cache answers equals the
+    uncached paper test (so the model cannot change), the cache answers
+    some re-tests, and the sweep emits ``coverage.cache`` events whose
+    per-round deltas add up to the coverage decisions asked."""
+    asked = []
+    memoized = CoverageChecker.covered
+
+    def checked(self, gt, relation, snapshot=None):
+        verdict = memoized(self, gt, relation, snapshot)
+        assert verdict == covered_paper(gt, relation)
+        asked.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(CoverageChecker, "covered", checked)
+    events = []
+    sink = hooks.subscribe(
+        lambda kind, fields: events.append(dict(fields))
+        if kind == "coverage.cache"
+        else None
+    )
+    try:
+        model = DeductiveEngine(
+            parse_program(PROBLEMS_PROGRAM),
+            parse_database(COURSE_EDB),
+            strategy="naive",
+        ).run()
+    finally:
+        hooks.unsubscribe(sink)
+    assert model.stats.rounds == 8
+    assert len(events) == model.stats.rounds
+    hits = sum(event["hits"] for event in events)
+    misses = sum(event["misses"] for event in events)
+    assert hits > 0
+    assert hits + misses == len(asked)
+
+
+def test_free_signature_is_memoized():
+    relation = _single_tuple("relation r[1; 0] { (2n) where T1 >= 0; }")
+    gt = relation.tuples[0]
+    assert gt._free_signature is None
+    first = gt.free_signature()
+    assert gt._free_signature is first
+    assert gt.free_signature() is first

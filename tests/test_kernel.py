@@ -1,5 +1,5 @@
 """The columnar kernel: batched canonicalization, interning, batch ops,
-the column store's generation counter, and the shard wire codec.
+and the column store's generation counter.
 
 The batch helpers must be *exactly* equivalent to the per-tuple loops
 they replace — each test writes that loop out as the reference —
@@ -7,7 +7,6 @@ including the alignment rule that an unsatisfiable result appears as
 None in the output list.
 """
 
-import json
 import sys
 import threading
 from collections import OrderedDict
@@ -27,12 +26,6 @@ from repro.constraints.system import ConstraintSystem
 from repro.core import DeductiveEngine, parse_program
 from repro.gdb import kernel, parse_database
 from repro.gdb.relation import GeneralizedRelation
-from repro.gdb.store import (
-    decode_relation_batch,
-    decode_tuple_batch,
-    encode_relation_batch,
-    encode_tuple_batch,
-)
 from repro.gdb.tuple import GeneralizedTuple
 from repro.lrp.point import Lrp
 from repro.util import hooks
@@ -489,65 +482,6 @@ class TestStoreGenerations:
         assert after[other] == {"elsewhere": False}
 
 
-class TestWireCodec:
-    def _tuples(self):
-        shared = ConstraintSystem.parse("T1 >= 0 & T2 = T1 + 2", 2)
-        other = ConstraintSystem.parse("T2 >= T1", 2)
-        return [
-            GeneralizedTuple((Lrp(24, 1), Lrp(24, 3)), ("a",), shared),
-            GeneralizedTuple((Lrp(24, 5), Lrp(24, 7)), ("b",), shared),
-            GeneralizedTuple((Lrp(12, 0), Lrp(12, 2)), ("c",)),  # trivial
-            GeneralizedTuple((Lrp(24, 1), Lrp(24, 3)), ("d",), other),
-        ]
-
-    def test_tuple_batch_round_trip(self):
-        tuples = self._tuples()
-        payload = encode_tuple_batch(tuples)
-        # Two distinct non-trivial zones, serialized once each.
-        assert len(payload["constraints"]) == 2
-        assert [row[2] for row in payload["rows"]] == [0, 0, -1, 1]
-        decoded = decode_tuple_batch(payload)
-        assert _keys(decoded) == _keys(tuples)
-        # Rows that shared a dictionary slot share one decoded system.
-        assert decoded[0].constraints is decoded[1].constraints
-        assert decoded[2].constraints.is_trivial()
-
-    def test_empty_batch_round_trip(self):
-        payload = encode_tuple_batch([])
-        assert payload == {"constraints": [], "rows": []}
-        assert decode_tuple_batch(payload) == []
-
-    def test_relation_batch_round_trip(self):
-        relation = GeneralizedRelation(2, 1, self._tuples())
-        decoded = decode_relation_batch(encode_relation_batch(relation))
-        assert decoded.temporal_arity == relation.temporal_arity
-        assert decoded.data_arity == relation.data_arity
-        assert _keys(decoded.tuples) == _keys(relation.tuples)
-        assert decoded.equivalent(relation)
-
-    def test_batch_is_json_serializable(self):
-        payload = encode_relation_batch(GeneralizedRelation(2, 1, self._tuples()))
-        assert decode_relation_batch(json.loads(json.dumps(payload))).equivalent(
-            GeneralizedRelation(2, 1, self._tuples())
-        )
-
-
-class TestDispatchBytes:
-    """The column batch is what the shard pool broadcasts; on E14's
-    closed form it must be smaller than the per-tuple checkpoint JSON
-    it replaced (1,124 B vs 1,672 B for the 48-class relation)."""
-
-    def test_e14_batch_smaller_than_per_tuple_json(self):
-        edb = parse_database("relation seed[1; 0] { (48n+0); }")
-        program = parse_program("p(t) <- seed(t). p(t + 1) <- p(t).")
-        model = DeductiveEngine(program, edb, strategy="semi-naive").run()
-        relation = model.relation("p")
-        assert len(relation.tuples) == 48
-        per_tuple = len(json.dumps(relation.to_json_dict()))
-        batch = len(json.dumps(encode_relation_batch(relation)))
-        assert batch < per_tuple
-
-
 class TestClosedFormEmptiness:
     """``_is_empty_uncached`` answers tuples of temporal arity <= 1 in
     closed form (an interval against a residue class); it must agree
@@ -577,12 +511,9 @@ class TestClosedFormEmptiness:
         assert gt._is_empty_uncached() == (not gt.aligned())
 
 
-class TestWireCodecPastInternCap:
-    """Tuples whose zones overflowed the ConstraintTable cap carry no
-    integer id — ``constraint_id`` falls back to the structural
-    canonical key — and must still cross the shard wire codec
-    bit-identically (the shard pool ships whatever the engine derives,
-    interned or not)."""
+class TestPastInternCap:
+    """Zones that overflowed the ConstraintTable cap carry no integer
+    id: ``constraint_id`` falls back to the structural canonical key."""
 
     def _overflow_tuples(self):
         # Clamp the shared table at its current size: every zone below
@@ -595,14 +526,13 @@ class TestWireCodecPastInternCap:
             tuples.append(
                 GeneralizedTuple((Lrp(24, 1), Lrp(24, 3)), ("v%d" % k,), system)
             )
-        # Two rows sharing one overflowed zone, to exercise the
-        # structural-key dictionary slot path.
+        # Two rows sharing one overflowed zone.
         shared = ConstraintSystem.parse("T2 = T1 + 7930 & T1 >= 104740", 2)
         tuples.append(GeneralizedTuple((Lrp(24, 5), Lrp(24, 7)), ("w0",), shared))
         tuples.append(GeneralizedTuple((Lrp(24, 9), Lrp(24, 11)), ("w1",), shared))
         return tuples
 
-    def test_overflow_round_trip_bit_identical(self):
+    def test_overflowed_zones_key_by_canonical_form(self):
         saved_cap = CONSTRAINT_TABLE.cap
         CONSTRAINT_TABLE.cap = len(CONSTRAINT_TABLE)
         try:
@@ -612,29 +542,12 @@ class TestWireCodecPastInternCap:
                 assert not isinstance(
                     gt.constraints.constraint_id(), int
                 ), "zone unexpectedly interned despite the cap clamp"
-            payload = encode_tuple_batch(tuples)
-            # The shared overflowed zone still dedups to one dict slot.
-            assert len(payload["constraints"]) == 6
-            assert payload["rows"][5][2] == payload["rows"][6][2]
-            wire = json.dumps(payload, sort_keys=True)
-            decoded = decode_tuple_batch(json.loads(wire))
-            assert _keys(decoded) == _keys(tuples)
-            # Bit-identical: re-encoding the decoded batch reproduces
-            # the original wire bytes exactly.
-            assert json.dumps(encode_tuple_batch(decoded), sort_keys=True) == wire
-        finally:
-            CONSTRAINT_TABLE.cap = saved_cap
-
-    def test_mixed_interned_and_overflowed_batch(self):
-        interned = ConstraintSystem.parse("T1 >= 0 & T2 = T1 + 2", 2)
-        saved_cap = CONSTRAINT_TABLE.cap
-        CONSTRAINT_TABLE.cap = len(CONSTRAINT_TABLE)
-        try:
-            tuples = [
-                GeneralizedTuple((Lrp(24, 1), Lrp(24, 3)), ("a",), interned)
-            ] + self._overflow_tuples()
-            decoded = decode_tuple_batch(encode_tuple_batch(tuples))
-            assert _keys(decoded) == _keys(tuples)
+            # The shared overflowed zone still has one key.
+            assert (
+                tuples[5].constraints.constraint_id()
+                == tuples[6].constraints.constraint_id()
+            )
+            assert len({gt.constraints.constraint_id() for gt in tuples}) == 6
         finally:
             CONSTRAINT_TABLE.cap = saved_cap
 

@@ -80,6 +80,12 @@ class TestSpecs:
         assert spec.deadline_seconds == 5
         assert spec.window == (0, 60)
 
+    def test_from_json_dict_ignores_unknown_keys(self):
+        payload = {"id": "j", "kind": "run", "program": PROGRAM, "edb": EDB}
+        assert JobSpec.from_json_dict(
+            dict(payload, workers=4, colour="blue")
+        ) == JobSpec.from_json_dict(payload)
+
     def test_result_report_fields(self):
         with service() as svc:
             result = svc.run_batch([run_spec()])[0]
@@ -370,6 +376,100 @@ class TestObservability:
         assert [r.backend for r in results] == [
             "compiled", "fo", "closed-form", "closed-form"
         ]
+
+
+#: ``JobResult.to_json_dict()`` keys, in report order.
+REPORT_KEYS = [
+    "job_id", "state", "outcome", "attempts", "backend", "degradation",
+    "resumed", "worker", "elapsed_seconds", "error", "stats", "model",
+]
+
+DATALOG1S = "train(5; a).\ntrain(t + 40; a) <- train(t; a).\n"
+TEMPLOG = "next^5 go.\nalways (next^40 go <- go).\n"
+QUERY = "exists t2 (course(t1, t2; C))"
+
+
+def _expected_model_text(kind, store_root=None):
+    """The job's model text computed without the service: what the
+    report's ``model`` field must carry, byte for byte."""
+    from repro.datalog1s import minimal_model, parse_datalog1s
+    from repro.fo import evaluate_query
+    from repro.templog import parse_templog, templog_minimal_model
+
+    if kind == "run":
+        return str(
+            DeductiveEngine(parse_program(PROGRAM), parse_database(EDB)).run()
+        )
+    if kind == "query":
+        return str(evaluate_query(parse_database(EDB), QUERY).relation)
+    if kind == "datalog1s":
+        return str(minimal_model(parse_datalog1s(DATALOG1S)))
+    if kind == "templog":
+        return str(templog_minimal_model(parse_templog(TEMPLOG)))
+    from repro.edb import EdbStore
+
+    store = EdbStore(store_root)
+    try:
+        edb = store.snapshot()
+    finally:
+        store.close()
+    return str(DeductiveEngine(parse_program(PROGRAM), edb).run())
+
+
+class TestJobReport:
+    """The report renders ``model`` from the result's model when read;
+    the JSON must equal the text of the model computed directly."""
+
+    @pytest.mark.parametrize(
+        "kind", ["run", "query", "datalog1s", "templog", "maintain"]
+    )
+    def test_to_json_dict_per_kind(self, kind, tmp_path):
+        store_root = None
+        if kind == "run":
+            spec = run_spec("j")
+        elif kind == "query":
+            spec = JobSpec("j", "query", edb=EDB, query=QUERY)
+        elif kind == "maintain":
+            store = TestMaintainJobs()._store(tmp_path)
+            store.close()
+            store_root = store.root
+            spec = JobSpec("j", "maintain", program=PROGRAM, store=store_root)
+        else:
+            spec = JobSpec(
+                "j", kind, program=DATALOG1S if kind == "datalog1s" else TEMPLOG
+            )
+        with service(workers=1) as svc:
+            result = svc.run_batch([spec])[0]
+        assert result.state == "ok"
+        report = result.to_json_dict()
+        assert report == {
+            "job_id": "j",
+            "state": "ok",
+            "outcome": "ok",
+            "attempts": 1,
+            "backend": result.backend,
+            "degradation": [],
+            "resumed": False,
+            "worker": result.worker,
+            "elapsed_seconds": result.elapsed_seconds,
+            "error": None,
+            "stats": result.stats,
+            "model": _expected_model_text(kind, store_root),
+        }
+        assert list(report) == REPORT_KEYS
+
+    def test_budget_partial_renders_partial_model(self):
+        from repro.runtime.budget import EvaluationBudget
+        from repro.util.errors import BudgetExceededError
+
+        with pytest.raises(BudgetExceededError) as caught:
+            DeductiveEngine(parse_program(PROGRAM), parse_database(EDB)).run(
+                budget=EvaluationBudget(max_rounds=2)
+            )
+        with service(workers=1) as svc:
+            result = svc.run_batch([run_spec("late", max_rounds=2)])[0]
+        assert result.state == "partial"
+        assert result.to_json_dict()["model"] == str(caught.value.partial_model)
 
 
 class TestMaintainJobs:

@@ -30,9 +30,6 @@ REQUIRED_FIELDS = {
     "budget.charge": ("dimension", "amount", "total"),
     "coverage.cache": ("round", "stratum", "hits", "misses"),
     "service.job": ("phase", "job_id"),
-    "shard.worker": ("phase", "worker", "round"),
-    "shard.dispatch": ("phase", "workers", "pipe_bytes", "shm_bytes"),
-    "shard.degraded": ("reason", "restarts_used", "pending_tasks"),
     "edb.txn": ("root", "tx", "asserted", "retracted", "wal_bytes"),
     "edb.recover": ("root", "checkpoint_tx", "replayed_txns", "truncated_bytes", "head_tx"),
     "maintain.delta": ("tx", "inserted", "retracted", "rounds", "recomputed"),
@@ -52,11 +49,6 @@ PHASE_FIELDS = {
     ("engine.run", "end"): ("outcome",),
     ("engine.round", "end"): ("derived", "accepted", "duration_s"),
     ("service.job", "outcome"): ("state", "outcome", "attempts"),
-    ("shard.worker", "lost"): ("reason", "exitcode"),
-    ("shard.worker", "respawn"): ("restarts_used",),
-    ("shard.worker", "retry"): ("tasks",),
-    ("shard.dispatch", "round"): ("round", "tasks", "segments"),
-    ("shard.dispatch", "stratum"): ("stratum", "segments"),
 }
 
 OPERATORS = {"join", "anti-join", "carrier", "projection"}
