@@ -2,7 +2,7 @@
 
 Runs the ``report()`` of each experiment module E1–E14 in order,
 printing the rows recorded in EXPERIMENTS.md, plus the benchmark
-modules (``plan``, ``service``, ``edb``), which also write their
+modules (``service``, ``edb``), which also write their
 ``BENCH_*.json`` artifacts.  After the selected reports it writes the
 consolidated headline summary to ``BENCH_SUMMARY.md`` at the repo
 root, built from whichever ``BENCH_*.json`` artifacts exist::
@@ -36,14 +36,12 @@ EXPERIMENTS = [
     ("e12", "test_e12_projection_ablation"),
     ("e13", "test_e13_ltl_fo_equivalence"),
     ("e14", "test_e14_engine_scaling"),
-    ("plan", "plan_bench"),
     ("service", "service_bench"),
     ("edb", "edb_bench"),
 ]
 
 #: The benchmark artifacts the consolidated summary reads.
 ARTIFACTS = (
-    "BENCH_plan.json",
     "BENCH_service.json",
     "BENCH_edb.json",
 )
@@ -54,20 +52,6 @@ def _load(path):
         return None
     with open(path) as handle:
         return json.load(handle)
-
-
-def _plan_lines(payload):
-    e14 = payload["e14_shift_cycle"]
-    return [
-        "- Compiled plans vs reference on E14 (%d classes, semi-naive): "
-        "**%.2fx** (%.2f ms vs %.2f ms)."
-        % (
-            e14["classes"],
-            e14["semi-naive"]["speedup"],
-            e14["semi-naive"]["compiled"]["wall_ms"],
-            e14["semi-naive"]["reference"]["wall_ms"],
-        )
-    ]
 
 
 def _service_lines(payload):
@@ -111,7 +95,6 @@ def _edb_lines(payload):
 
 
 _SECTIONS = (
-    ("BENCH_plan.json", "Plan layer", _plan_lines),
     ("BENCH_service.json", "Query service", _service_lines),
     ("BENCH_edb.json", "Durable EDB & incremental maintenance", _edb_lines),
 )
@@ -125,7 +108,7 @@ def write_summary(path="BENCH_SUMMARY.md"):
         "# Benchmark summary",
         "",
         "Headline numbers from the `BENCH_*.json` artifacts; regenerate "
-        "with `python benchmarks/report.py plan service edb`.",
+        "with `python benchmarks/report.py service edb`.",
         "",
     ]
     found = False

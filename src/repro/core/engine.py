@@ -299,7 +299,7 @@ class DeductiveEngine:
         self.max_rounds = max_rounds
         self.patience = patience
         self.on_give_up = on_give_up
-        self._covered = coverage_test(safety)
+        coverage_test(safety)  # validate the mode name eagerly
         self.evaluator = ProgramEvaluator(program, edb, evaluation=evaluation)
 
     # -- public API -------------------------------------------------------
@@ -350,17 +350,8 @@ class DeductiveEngine:
             if checkpoint_path is None:
                 raise ValueError("checkpoint_every requires checkpoint_path")
         stats = EvaluationStats(strategy=self.strategy, safety_mode=self.safety)
-        started = time.perf_counter()
-        meter = budget.start() if budget is not None else None
-        checker = CoverageChecker(self.safety)
         env = self.evaluator.initial_environment()
-        known_signatures = {
-            name: free_signatures(env[name]) for name in self.evaluator.intensional
-        }
-        stats.strata = self.evaluator.stratum_count()
-        start_stratum = 0
         resume = None
-
         if resume_from is not None:
             resume = load_checkpoint(resume_from)
             if resume.fingerprint != self.fingerprint():
@@ -374,142 +365,17 @@ class DeductiveEngine:
                         "checkpoint carries unknown intensional predicate %r" % name
                     )
                 env[name] = relation
-            for name, signatures in resume.known_signatures.items():
-                known_signatures[name] = set(signatures)
             stats.restore_progress(resume.stats)
             stats.resumed_from_round = stats.rounds
-            start_stratum = resume.stratum_index
-
-        last_signature_growth = 0
-        strata = self.evaluator.stratum_evaluators
-        if hooks.SINKS:
-            hooks.emit(
-                "engine.run",
-                {
-                    "phase": "begin",
-                    "strategy": self.strategy,
-                    "safety": self.safety,
-                    "strata": len(strata),
-                    "resumed_from_round": stats.resumed_from_round,
-                },
-            )
-        try:
-            stratum_index = start_stratum
-            while stratum_index < len(strata):
-                evaluators = strata[stratum_index]
-                if meter is not None:
-                    # Deadline-only check at the stratum boundary (no
-                    # budget.charge event).
-                    meter.tick_stratum()
-                if hooks.SINKS:
-                    hooks.emit(
-                        "engine.stratum",
-                        {
-                            "phase": "begin",
-                            "stratum": stratum_index,
-                            "clauses": len(evaluators),
-                        },
-                    )
-                if resume is not None and stratum_index == start_stratum:
-                    complements = dict(resume.complements)
-                    delta = None if resume.delta is None else dict(resume.delta)
-                    rounds_done = resume.rounds_in_stratum
-                    last_growth = resume.last_growth
-                else:
-                    complements = self.evaluator.complements_for(evaluators, env)
-                    delta = None
-                    rounds_done = 0
-                    last_growth = stats.rounds
-                stratum_closed = self._run_stratum(
-                    evaluators,
-                    complements,
-                    env,
-                    known_signatures,
-                    stats,
-                    stratum_index=stratum_index,
-                    delta=delta,
-                    rounds_done=rounds_done,
-                    last_growth=last_growth,
-                    meter=meter,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_path=checkpoint_path,
-                    run_started=started,
-                    checker=checker,
-                )
-                last_signature_growth = stats.signature_stable_round
-                if hooks.SINKS:
-                    hooks.emit(
-                        "engine.stratum",
-                        {
-                            "phase": "end",
-                            "stratum": stratum_index,
-                            "closed": stratum_closed,
-                            "rounds": stats.rounds,
-                        },
-                    )
-                if not stratum_closed:
-                    stats.gave_up = True
-                    break
-                stratum_index += 1
-            else:
-                stats.constraint_safe = True
-        except BudgetExceededError as error:
-            stats.budget_exceeded = True
-            stats.elapsed_seconds = stats.prior_elapsed_seconds + (
-                time.perf_counter() - started
-            )
-            error.partial_model = self._partial_model(env, stats)
-            error.stats = stats
-            self._emit_run_end(stats, "budget-exceeded")
-            raise
-        except PartialResultError:
-            self._emit_run_end(stats, "aborted")
-            raise
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as error:
-            stats.elapsed_seconds = stats.prior_elapsed_seconds + (
-                time.perf_counter() - started
-            )
-            self._emit_run_end(stats, "aborted")
-            raise EvaluationAbortedError(
-                "evaluation aborted during round %d: %s" % (stats.rounds, error),
-                partial_model=self._partial_model(env, stats),
-                stats=stats,
-            ) from error
-
-        stats.elapsed_seconds = stats.prior_elapsed_seconds + (
-            time.perf_counter() - started
+        return self._evaluate(
+            env,
+            stats,
+            budget,
+            check_free_extension_safety=check_free_extension_safety,
+            resume=resume,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
         )
-
-        if check_free_extension_safety:
-            stats.free_extension_safe_checked = is_free_extension_safe(
-                self.evaluator, env
-            )
-
-        self._emit_run_end(stats, "gave-up" if stats.gave_up else "ok")
-        try:
-            model = self._partial_model(env, stats)
-        except (KeyboardInterrupt, SystemExit, PartialResultError):
-            raise
-        except Exception as error:
-            # A fault during final normalization (e.g. an injected
-            # dbm_canonicalize fault whose hit count lands here) gets
-            # the same typed wrapping as one during the rounds.
-            raise EvaluationAbortedError(
-                "evaluation aborted while finalizing the model: %s" % error,
-                partial_model=self._partial_model(env, stats, best_effort=True),
-                stats=stats,
-            ) from error
-        if stats.gave_up and self.on_give_up == "raise":
-            raise GiveUpError(
-                "bottom-up evaluation did not reach constraint safety "
-                "within its budget (%d rounds, free signatures stable "
-                "since round %d)" % (stats.rounds, last_signature_growth),
-                partial_model=model,
-                stats=stats,
-            )
-        return model
 
     def run_goal_directed(self, goal, budget=None, widen_delay=None):
         """Evaluate goal-directedly for ``goal`` (a
@@ -552,10 +418,11 @@ class DeductiveEngine:
         computed against; those tuples must already be present in the
         EDB/``relations`` (the semi-naive invariant).  The first round
         then fires each clause at every body position holding a delta
-        predicate (:meth:`ProgramEvaluator.maintenance_round`); later
+        predicate (:meth:`ProgramEvaluator.seminaive_round`); later
         rounds are ordinary semi-naive rounds over the fresh tuples.
         ``delta=None`` instead makes the first round a full naive
-        round — the DRed rederivation restart.
+        round — the DRed rederivation restart.  The rounds are
+        :meth:`run`'s own (one loop, with its round events).
 
         Only single-stratum programs without negation can be grown
         from a warm state (non-monotone strata would have to be
@@ -576,10 +443,6 @@ class DeductiveEngine:
                     "with negation: %s" % evaluator.normalized
                 )
         stats = EvaluationStats(strategy="semi-naive", safety_mode=self.safety)
-        stats.strata = 1
-        started = time.perf_counter()
-        meter = budget.start() if budget is not None else None
-        checker = CoverageChecker(self.safety)
         env = self.evaluator.initial_environment()
         for name, relation in relations.items():
             if name not in self.evaluator.intensional:
@@ -588,86 +451,13 @@ class DeductiveEngine:
                     "predicate %r" % name
                 )
             env[name] = relation
-        known_signatures = {
-            name: free_signatures(env[name]) for name in self.evaluator.intensional
-        }
-        evaluators = self.evaluator.stratum_evaluators[0]
-        last_growth = 0
         if delta is not None:
             delta = {name: list(tuples) for name, tuples in delta.items() if tuples}
             if not delta:
                 # Nothing changed relative to the warm state.
                 stats.constraint_safe = True
-                stats.elapsed_seconds = time.perf_counter() - started
                 return self._partial_model(env, stats)
-        try:
-            while stats.rounds < self.max_rounds:
-                stats.rounds += 1
-                fault_point("round")
-                if meter is not None:
-                    meter.charge_round()
-                if delta is None:
-                    derived = self.evaluator.naive_round(
-                        env, evaluators=evaluators, meter=meter
-                    )
-                else:
-                    derived = self.evaluator.maintenance_round(env, delta, meter=meter)
-                stats.derived_tuples_per_round.append(
-                    sum(len(ts) for ts in derived.values())
-                )
-                fresh = checker.sweep(derived, env)
-                accepted = sum(len(ts) for ts in fresh.values())
-                stats.new_tuples_per_round.append(accepted)
-                if not fresh:
-                    stats.constraint_safe = True
-                    stats.signature_stable_round = last_growth
-                    break
-                grew_signatures = False
-                for predicate, tuples in fresh.items():
-                    env[predicate] = env[predicate].with_tuples(tuples)
-                    for gt in tuples:
-                        if gt.free_signature() not in known_signatures[predicate]:
-                            known_signatures[predicate].add(gt.free_signature())
-                            grew_signatures = True
-                if grew_signatures:
-                    last_growth = stats.rounds
-                delta = fresh
-                if meter is not None:
-                    meter.charge_accepted(accepted)
-                if (
-                    self.patience is not None
-                    and stats.rounds - last_growth >= self.patience
-                ):
-                    break
-        except BudgetExceededError as error:
-            stats.budget_exceeded = True
-            stats.elapsed_seconds = time.perf_counter() - started
-            error.partial_model = self._partial_model(env, stats)
-            error.stats = stats
-            raise
-        except (KeyboardInterrupt, SystemExit, PartialResultError):
-            raise
-        except Exception as error:
-            stats.elapsed_seconds = time.perf_counter() - started
-            raise EvaluationAbortedError(
-                "maintenance aborted during round %d: %s" % (stats.rounds, error),
-                partial_model=self._partial_model(env, stats, best_effort=True),
-                stats=stats,
-            ) from error
-        stats.elapsed_seconds = time.perf_counter() - started
-        if stats.signature_stable_round is None:
-            stats.signature_stable_round = last_growth
-        if not stats.constraint_safe:
-            stats.gave_up = True
-        model = self._partial_model(env, stats)
-        if stats.gave_up and self.on_give_up == "raise":
-            raise GiveUpError(
-                "incremental maintenance did not reach constraint safety "
-                "within its budget (%d rounds)" % stats.rounds,
-                partial_model=model,
-                stats=stats,
-            )
-        return model
+        return self._evaluate(env, stats, budget, delta=delta)
 
     def _emit_run_end(self, stats, outcome):
         if hooks.SINKS:
@@ -701,173 +491,294 @@ class DeductiveEngine:
             }
         return Model(relations, stats, edb=self.edb)
 
-    def _run_stratum(
-        self,
-        evaluators,
-        complements,
-        env,
-        known_signatures,
-        stats,
-        stratum_index=0,
-        delta=None,
-        rounds_done=0,
-        last_growth=None,
-        meter=None,
-        checkpoint_every=None,
-        checkpoint_path=None,
-        run_started=None,
-        checker=None,
-    ):
-        """Fixpoint over one stratum's clauses; returns True when the
-        stratum reached constraint safety, False on give-up/cap.
+    def _evaluate(self, env, stats, budget, check_free_extension_safety=False, **state):
+        """Drain :meth:`_rounds` from ``env`` into a model: the one exit
+        path of :meth:`run` and :meth:`maintain`.  ``state`` seeds the
+        loop (a checkpoint to resume, a warm delta, checkpointing)."""
+        started = time.perf_counter()
+        meter = budget.start() if budget is not None else None
+        if hooks.SINKS:
+            hooks.emit(
+                "engine.run",
+                {
+                    "phase": "begin",
+                    "strategy": stats.strategy,
+                    "safety": self.safety,
+                    "strata": self.evaluator.stratum_count(),
+                    "resumed_from_round": stats.resumed_from_round,
+                },
+            )
+        try:
+            for _ in self._rounds(
+                env, stats, self.max_rounds, self.patience, meter, started, **state
+            ):
+                pass
+        except BudgetExceededError as error:
+            stats.budget_exceeded = True
+            stats.elapsed_seconds = stats.prior_elapsed_seconds + (
+                time.perf_counter() - started
+            )
+            error.partial_model = self._partial_model(env, stats)
+            error.stats = stats
+            self._emit_run_end(stats, "budget-exceeded")
+            raise
+        except PartialResultError:
+            self._emit_run_end(stats, "aborted")
+            raise
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as error:
+            stats.elapsed_seconds = stats.prior_elapsed_seconds + (
+                time.perf_counter() - started
+            )
+            self._emit_run_end(stats, "aborted")
+            raise EvaluationAbortedError(
+                "evaluation aborted during round %d: %s" % (stats.rounds, error),
+                partial_model=self._partial_model(env, stats, best_effort=True),
+                stats=stats,
+            ) from error
 
-        ``rounds_done``/``delta``/``last_growth`` seed the loop when
-        resuming from a mid-stratum checkpoint; ``run_started`` is the
-        run's :func:`time.perf_counter` origin, consulted so checkpoints
-        (and round events) carry live elapsed time."""
-        if last_growth is None:
-            last_growth = stats.rounds
-        if checker is None:
-            checker = CoverageChecker(self.safety)
-        while rounds_done < self.max_rounds:
-            rounds_done += 1
-            stats.rounds += 1
-            observing = bool(hooks.SINKS)
-            if observing:
-                round_started = time.perf_counter()
-                hooks.emit(
-                    "engine.round",
-                    {
-                        "phase": "begin",
-                        "round": stats.rounds,
-                        "stratum": stratum_index,
-                        "strategy": self.strategy,
-                    },
-                )
-            fault_point("round")
-            if meter is not None:
-                meter.charge_round()
-            if self.strategy != "naive" and delta is not None:
-                derived = self.evaluator.seminaive_round(
-                    env, delta, evaluators=evaluators, complements=complements,
-                    meter=meter,
-                )
-            else:
-                derived = self.evaluator.naive_round(
-                    env, evaluators=evaluators, complements=complements, meter=meter
-                )
-            stats.derived_tuples_per_round.append(
-                sum(len(ts) for ts in derived.values())
+        stats.elapsed_seconds = stats.prior_elapsed_seconds + (
+            time.perf_counter() - started
+        )
+
+        if check_free_extension_safety:
+            stats.free_extension_safe_checked = is_free_extension_safe(
+                self.evaluator, env
             )
 
-            if observing:
-                cache_hits, cache_misses = checker.hits, checker.misses
-            fresh = checker.sweep(derived, env)
+        self._emit_run_end(stats, "gave-up" if stats.gave_up else "ok")
+        try:
+            model = self._partial_model(env, stats)
+        except (KeyboardInterrupt, SystemExit, PartialResultError):
+            raise
+        except Exception as error:
+            # A fault during final normalization (e.g. an injected
+            # dbm_canonicalize fault whose hit count lands here) gets
+            # the same typed wrapping as one during the rounds.
+            raise EvaluationAbortedError(
+                "evaluation aborted while finalizing the model: %s" % error,
+                partial_model=self._partial_model(env, stats, best_effort=True),
+                stats=stats,
+            ) from error
+        if stats.gave_up and self.on_give_up == "raise":
+            raise GiveUpError(
+                "bottom-up evaluation did not reach constraint safety "
+                "within its budget (%d rounds, free signatures stable "
+                "since round %d)" % (stats.rounds, stats.signature_stable_round),
+                partial_model=model,
+                stats=stats,
+            )
+        return model
 
-            accepted = sum(len(ts) for ts in fresh.values())
-            stats.new_tuples_per_round.append(accepted)
-            if observing:
-                hooks.emit(
-                    "coverage.cache",
-                    {
-                        "round": stats.rounds,
-                        "stratum": stratum_index,
-                        "hits": checker.hits - cache_hits,
-                        "misses": checker.misses - cache_misses,
-                    },
-                )
-                hooks.emit(
-                    "engine.round",
-                    {
-                        "phase": "end",
-                        "round": stats.rounds,
-                        "stratum": stratum_index,
-                        "derived": stats.derived_tuples_per_round[-1],
-                        "accepted": accepted,
-                        "duration_s": time.perf_counter() - round_started,
-                    },
-                )
+    def _rounds(
+        self,
+        env,
+        stats,
+        max_rounds,
+        patience,
+        meter=None,
+        started=None,
+        resume=None,
+        delta=None,
+        checkpoint_every=None,
+        checkpoint_path=None,
+    ):
+        """The T_GP fixpoint, stratum by stratum: yields each round's
+        accepted tuples ``{predicate: [tuples]}`` (productive rounds
+        only) and grows ``env`` and ``stats`` in place.  Ends with
+        ``stats.constraint_safe`` once every stratum closes, or with
+        ``stats.gave_up`` when a stratum hits ``max_rounds`` or
+        ``patience`` rounds pass without a new free signature (``None``
+        disables the give-up).  This is the engine's only round loop:
+        :meth:`run` and :meth:`maintain` drain it, :meth:`trace`
+        re-yields it.
 
-            if not fresh:
-                stats.signature_stable_round = last_growth
-                return True
-
-            grew_signatures = False
-            for predicate, tuples in fresh.items():
-                env[predicate] = env[predicate].with_tuples(tuples)
-                for gt in tuples:
-                    if gt.free_signature() not in known_signatures[predicate]:
-                        known_signatures[predicate].add(gt.free_signature())
-                        grew_signatures = True
-            if grew_signatures:
-                last_growth = stats.rounds
-            delta = fresh
-
+        ``stats.strategy`` picks naive or semi-naive rounds.  A
+        ``resume`` checkpoint restarts mid-stratum; a ``delta`` seeds
+        the first round's delta (the maintainer's warm start, at any
+        body position); ``started`` is the run's
+        :func:`time.perf_counter` origin, so checkpoints carry live
+        elapsed time."""
+        checker = CoverageChecker(self.safety)
+        strata = self.evaluator.stratum_evaluators
+        stats.strata = len(strata)
+        known_signatures = {
+            name: free_signatures(env[name]) for name in self.evaluator.intensional
+        }
+        stratum_index = 0
+        if resume is not None:
+            for name, signatures in resume.known_signatures.items():
+                known_signatures[name] = set(signatures)
+            stratum_index = resume.stratum_index
+        while stratum_index < len(strata):
+            evaluators = strata[stratum_index]
             if meter is not None:
-                meter.charge_accepted(accepted)
+                # Deadline-only check at the stratum boundary (no
+                # budget.charge event).
+                meter.tick_stratum()
+            if hooks.SINKS:
+                hooks.emit(
+                    "engine.stratum",
+                    {
+                        "phase": "begin",
+                        "stratum": stratum_index,
+                        "clauses": len(evaluators),
+                    },
+                )
+            if resume is not None:
+                complements = dict(resume.complements)
+                delta = None if resume.delta is None else dict(resume.delta)
+                rounds_done = resume.rounds_in_stratum
+                last_growth = resume.last_growth
+                resume = None
+            else:
+                complements = self.evaluator.complements_for(evaluators, env)
+                rounds_done = 0
+                last_growth = stats.rounds
+            closed = False
+            while rounds_done < max_rounds:
+                rounds_done += 1
+                stats.rounds += 1
+                observing = bool(hooks.SINKS)
+                if observing:
+                    round_started = time.perf_counter()
+                    hooks.emit(
+                        "engine.round",
+                        {
+                            "phase": "begin",
+                            "round": stats.rounds,
+                            "stratum": stratum_index,
+                            "strategy": stats.strategy,
+                        },
+                    )
+                fault_point("round")
+                if meter is not None:
+                    meter.charge_round()
+                if stats.strategy != "naive" and delta is not None:
+                    derived = self.evaluator.seminaive_round(
+                        env, delta, evaluators=evaluators,
+                        complements=complements, meter=meter,
+                    )
+                else:
+                    derived = self.evaluator.naive_round(
+                        env, evaluators=evaluators, complements=complements,
+                        meter=meter,
+                    )
+                stats.derived_tuples_per_round.append(
+                    sum(len(ts) for ts in derived.values())
+                )
 
-            if checkpoint_every is not None and rounds_done % checkpoint_every == 0:
-                if run_started is not None:
+                if observing:
+                    cache_hits, cache_misses = checker.hits, checker.misses
+                fresh = checker.sweep(derived, env)
+
+                accepted = sum(len(ts) for ts in fresh.values())
+                stats.new_tuples_per_round.append(accepted)
+                if observing:
+                    hooks.emit(
+                        "coverage.cache",
+                        {
+                            "round": stats.rounds,
+                            "stratum": stratum_index,
+                            "hits": checker.hits - cache_hits,
+                            "misses": checker.misses - cache_misses,
+                        },
+                    )
+                    hooks.emit(
+                        "engine.round",
+                        {
+                            "phase": "end",
+                            "round": stats.rounds,
+                            "stratum": stratum_index,
+                            "derived": stats.derived_tuples_per_round[-1],
+                            "accepted": accepted,
+                            "duration_s": time.perf_counter() - round_started,
+                        },
+                    )
+
+                if not fresh:
+                    closed = True
+                    break
+
+                grew_signatures = False
+                for predicate, tuples in fresh.items():
+                    env[predicate] = env[predicate].with_tuples(tuples)
+                    for gt in tuples:
+                        if gt.free_signature() not in known_signatures[predicate]:
+                            known_signatures[predicate].add(gt.free_signature())
+                            grew_signatures = True
+                if grew_signatures:
+                    last_growth = stats.rounds
+                delta = fresh
+
+                if meter is not None:
+                    meter.charge_accepted(accepted)
+
+                if checkpoint_every is not None and rounds_done % checkpoint_every == 0:
                     # Checkpoints must carry live cumulative elapsed
                     # time: restore_progress turns it into the resumed
                     # run's prior_elapsed_seconds.
                     stats.elapsed_seconds = stats.prior_elapsed_seconds + (
-                        time.perf_counter() - run_started
+                        time.perf_counter() - started
                     )
-                write_checkpoint(
-                    checkpoint_path,
-                    Checkpoint(
-                        fingerprint=self.fingerprint(),
-                        plan_fingerprint=self.evaluator.plan_fingerprint(),
-                        stratum_index=stratum_index,
-                        rounds_in_stratum=rounds_done,
-                        last_growth=last_growth,
-                        env={
-                            name: env[name]
-                            for name in self.evaluator.intensional
-                        },
-                        known_signatures=known_signatures,
-                        stats=stats.to_dict(),
-                        delta=delta,
-                        complements=complements,
-                    ),
-                )
-                stats.checkpoints_written += 1
+                    write_checkpoint(
+                        checkpoint_path,
+                        Checkpoint(
+                            fingerprint=self.fingerprint(),
+                            plan_fingerprint=self.evaluator.plan_fingerprint(),
+                            stratum_index=stratum_index,
+                            rounds_in_stratum=rounds_done,
+                            last_growth=last_growth,
+                            env={
+                                name: env[name]
+                                for name in self.evaluator.intensional
+                            },
+                            known_signatures=known_signatures,
+                            stats=stats.to_dict(),
+                            delta=delta,
+                            complements=complements,
+                        ),
+                    )
+                    stats.checkpoints_written += 1
 
-            if (
-                self.patience is not None
-                and stats.rounds - last_growth >= self.patience
-            ):
-                break
-        stats.signature_stable_round = last_growth
-        return False
+                yield fresh
+
+                if patience is not None and stats.rounds - last_growth >= patience:
+                    break
+            stats.signature_stable_round = last_growth
+            if hooks.SINKS:
+                hooks.emit(
+                    "engine.stratum",
+                    {
+                        "phase": "end",
+                        "stratum": stratum_index,
+                        "closed": closed,
+                        "rounds": stats.rounds,
+                    },
+                )
+            if not closed:
+                stats.gave_up = True
+                return
+            stratum_index += 1
+            delta = None
+        stats.constraint_safe = True
 
     def trace(self, max_rounds=None, budget=None):
         """Yield ``(round_number, {predicate: [accepted tuples]})`` for
-        each round, naive strategy — the form in which the paper prints
-        the Example 4.1 computation.  Stops at constraint safety or the
-        round cap per stratum (no give-up error).  An optional
-        ``budget`` is charged per round and clause firing, raising
+        each productive round of a naive run — the form in which the
+        paper prints the Example 4.1 computation.  The rounds are
+        :meth:`run`'s own loop, lazily: naive strategy, no give-up, and
+        a cap of ``max_rounds`` (default: the engine's) per stratum; the
+        trace ends where such a run ends.  An optional ``budget`` is
+        charged per round and clause firing, raising
         :class:`~repro.util.errors.BudgetExceededError` (without a
         partial model — the tuples already yielded are the partial
         result)."""
-        limit = max_rounds or self.max_rounds
+        stats = EvaluationStats(strategy="naive", safety_mode=self.safety)
         meter = budget.start() if budget is not None else None
-        checker = CoverageChecker(self.safety)
         env = self.evaluator.initial_environment()
-        round_number = 0
-        for evaluators in self.evaluator.stratum_evaluators:
-            complements = self.evaluator.complements_for(evaluators, env)
-            for _ in range(limit):
-                round_number += 1
-                if meter is not None:
-                    meter.charge_round()
-                derived = self.evaluator.naive_round(
-                    env, evaluators=evaluators, complements=complements, meter=meter
-                )
-                fresh = checker.sweep(derived, env)
-                if not fresh:
-                    break
-                for predicate, tuples in fresh.items():
-                    env[predicate] = env[predicate].with_tuples(tuples)
-                yield round_number, fresh
+        for fresh in self._rounds(
+            env, stats, max_rounds or self.max_rounds, None, meter
+        ):
+            yield stats.rounds, fresh

@@ -19,9 +19,9 @@ the first one's plans.  Validation and the EDB arity check still run
 on every construction.
 
 Both the naive strategy (recompute every clause against the full
-interpretation) and the semi-naive strategy (fire a clause only with a
-last-round delta in some intensional body position) are provided; they
-compute the same interpretations.
+interpretation) and the semi-naive strategy (fire a clause once per
+body position that has a last-round delta) are provided; they compute
+the same interpretations.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _compile(program, schemas, intensional, evaluation):
     )
     if evaluation == "reference":
         evaluators = tuple(
-            ReferenceClauseEvaluator(clause, schemas, intensional)
+            ReferenceClauseEvaluator(clause, schemas)
             for clause in normalized
         )
     else:
@@ -207,88 +207,51 @@ class ProgramEvaluator:
         An optional :class:`~repro.runtime.budget.BudgetMeter` is
         ticked before each clause firing (deadline check) and charged
         with the derived-tuple work after it."""
-        derived = {}
-        for evaluator in evaluators if evaluators is not None else self.evaluators:
-            if meter is not None:
-                meter.tick_clause()
-            relation = evaluator.evaluate(env, complements=complements)
-            if meter is not None and relation.tuples:
-                meter.charge_derived(len(relation.tuples))
-            if relation.tuples:
-                derived.setdefault(evaluator.head_predicate, []).extend(
-                    relation.tuples
-                )
-        return derived
+        if evaluators is None:
+            evaluators = self.evaluators
+        firings = [(evaluator, None) for evaluator in evaluators]
+        return self._fire(firings, env, None, complements, meter)
 
     def seminaive_round(self, env, delta, evaluators=None, complements=None, meter=None):
-        """One semi-naive round: each clause fires once per intensional
-        body position, reading the last-round delta there.  Clauses
-        without intensional body atoms do not fire (they are exhausted
-        by the first naive round).  ``meter`` as in :meth:`naive_round`."""
-        derived = {}
-        delta_env = {
-            name: GeneralizedRelation(
-                *self.schemas[name], tuples=tuples
-            )
-            for name, tuples in delta.items()
-        }
-        for evaluator in evaluators if evaluators is not None else self.evaluators:
-            for position in evaluator.intensional_positions:
-                atom = evaluator.normalized.body_atoms[position]
-                if atom.predicate not in delta_env:
-                    continue
-                if meter is not None:
-                    meter.tick_clause()
-                relation = evaluator.evaluate(
-                    env,
-                    delta=delta_env,
-                    delta_position=position,
-                    complements=complements,
-                )
-                if meter is not None and relation.tuples:
-                    meter.charge_derived(len(relation.tuples))
-                if relation.tuples:
-                    derived.setdefault(evaluator.head_predicate, []).extend(
-                        relation.tuples
-                    )
-        return derived
-
-    def maintenance_round(self, env, delta, meter=None):
-        """One delta-propagation round for incremental maintenance:
-        each clause fires once per body position — intensional *or
-        extensional* — whose predicate has a delta.
-
-        Regular semi-naive rounds never read a delta at an extensional
-        position (the EDB is immutable during a run), so the plan
-        variants for those positions are compiled lazily on first use
-        and cached outside the fingerprinted variant set (see
-        :meth:`~repro.plan.compiler.ClausePlan.maintenance_variant`).
-        When the delta holds only intensional predicates this fires
-        exactly the same variants, in the same order, as
-        :meth:`seminaive_round` — the maintainer's inner rounds are
-        ordinary semi-naive rounds.
-        """
-        derived = {}
+        """One delta round: each clause fires once per body position
+        whose predicate has a delta, reading the delta there.  In
+        semi-naive rounds the delta holds last round's accepted
+        (intensional) tuples; the incremental maintainer's warm start
+        and DRed overdeletion (:mod:`repro.edb.maintain`) also put
+        extensional predicates in it, whose plan variants are compiled
+        lazily (:meth:`~repro.plan.compiler.ClausePlan.maintenance_variant`).
+        Delta predicates no clause reads are ignored.  ``meter`` as in
+        :meth:`naive_round`."""
+        if evaluators is None:
+            evaluators = self.evaluators
         delta_env = {
             name: GeneralizedRelation(*self.schemas[name], tuples=tuples)
             for name, tuples in delta.items()
+            if name in self.schemas
         }
-        for evaluator in self.evaluators:
-            for position, atom in enumerate(evaluator.normalized.body_atoms):
-                if atom.predicate not in delta_env:
-                    continue
+        firings = [
+            (evaluator, position)
+            for evaluator in evaluators
+            for position, atom in enumerate(evaluator.normalized.body_atoms)
+            if atom.predicate in delta_env
+        ]
+        return self._fire(firings, env, delta_env, complements, meter)
+
+    @staticmethod
+    def _fire(firings, env, delta, complements, meter):
+        """Evaluate each ``(clause evaluator, delta position)`` firing
+        and collect the derived tuples per head predicate."""
+        derived = {}
+        for evaluator, position in firings:
+            if meter is not None:
+                meter.tick_clause()
+            relation = evaluator.evaluate(
+                env, delta=delta, delta_position=position, complements=complements
+            )
+            if relation.tuples:
                 if meter is not None:
-                    meter.tick_clause()
-                relation = evaluator.evaluate(
-                    env,
-                    delta=delta_env,
-                    delta_position=position,
-                    complements=None,
-                )
-                if meter is not None and relation.tuples:
                     meter.charge_derived(len(relation.tuples))
-                if relation.tuples:
-                    derived.setdefault(evaluator.head_predicate, []).extend(
-                        relation.tuples
-                    )
+                derived.setdefault(evaluator.head_predicate, []).extend(
+                    relation.tuples
+                )
         return derived

@@ -240,7 +240,7 @@ class MaterializedModel:
         delta = {name: list(tuples) for name, tuples in retracts.items()}
         overdeleted = 0
         while delta:
-            affected = evaluator.maintenance_round(env_old, delta)
+            affected = evaluator.seminaive_round(env_old, delta)
             delta = {}
             for predicate, heads in affected.items():
                 if predicate not in surviving:

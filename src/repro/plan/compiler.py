@@ -308,19 +308,15 @@ class ClausePlan:
         self.normalized = normalized
         self.schemas = schemas
         self.head_predicate = normalized.head_predicate
-        self.intensional_positions = [
-            index
-            for index, atom in enumerate(normalized.body_atoms)
-            if atom.predicate in intensional
-        ]
         self.negated_predicates = {
             atom.predicate for atom in normalized.negated_atoms
         }
         fault_point("compile")
         self._validate()
         self.variants = {None: compile_variant(normalized)}
-        for position in self.intensional_positions:
-            self.variants[position] = compile_variant(normalized, position)
+        for position, atom in enumerate(normalized.body_atoms):
+            if atom.predicate in intensional:
+                self.variants[position] = compile_variant(normalized, position)
         self.label = str(normalized)
         for variant in self.variants.values():
             variant.clause = self.label

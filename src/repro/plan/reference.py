@@ -24,15 +24,10 @@ class ReferenceClauseEvaluator:
     """Evaluates one normalized clause by the literal product-then-
     select-then-project formulation."""
 
-    def __init__(self, normalized, schemas, intensional):
+    def __init__(self, normalized, schemas):
         self.normalized = normalized
         self.schemas = schemas
         self.head_predicate = normalized.head_predicate
-        self.intensional_positions = [
-            index
-            for index, atom in enumerate(normalized.body_atoms)
-            if atom.predicate in intensional
-        ]
         self.negated_predicates = {
             atom.predicate for atom in normalized.negated_atoms
         }

@@ -71,12 +71,16 @@ class AttemptOutcome:
     magic_degraded: bool = False
 
 
+#: A ``run`` attempt checkpoints after every round, so a retry loses
+#: at most one round of work.
+CHECKPOINT_EVERY = 1
+
+
 class JobExecutor:
     """Runs single attempts; owns the per-job checkpoint files."""
 
-    def __init__(self, work_dir=None, checkpoint_every=1):
+    def __init__(self, work_dir=None):
         self.work_dir = work_dir
-        self.checkpoint_every = checkpoint_every
 
     def checkpoint_path(self, spec):
         """Where ``run`` attempts for this job checkpoint (``None``
@@ -127,7 +131,7 @@ class JobExecutor:
         resume_from = path if path is not None and os.path.exists(path) else None
         run_kwargs = {
             "budget": budget,
-            "checkpoint_every": self.checkpoint_every if path else None,
+            "checkpoint_every": CHECKPOINT_EVERY if path else None,
             "checkpoint_path": path,
         }
         try:

@@ -87,6 +87,17 @@ SERVICE_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
+#: Extra seconds past a job's deadline before the supervisor declares
+#: the worker hung and abandons it (jobs without any deadline are never
+#: declared hung).
+HANG_GRACE = 1.0
+
+#: Seconds the supervisor sleeps between checks of the workers.
+SUPERVISE_INTERVAL = 0.02
+
+#: Replacement workers one service starts over its lifetime.
+MAX_WORKER_RESTARTS = 32
+
 
 class JobHandle:
     """A future for one admitted job; resolves to a
@@ -206,12 +217,8 @@ class QueryService:
     work_dir:
         Directory for per-job checkpoints (a temporary directory is
         created — and removed on :meth:`close` — when omitted).
-    hang_grace:
-        Extra seconds past a job's deadline before the supervisor
-        declares the worker hung and abandons it (jobs without any
-        deadline are never declared hung).
-    sleeper / clock:
-        Injectable for tests.
+    clock:
+        Injectable for tests (the deadline and hang clock).
     metrics:
         An optional :class:`~repro.obs.metrics.MetricsRegistry` to
         record into (one is created when omitted).  The service keeps
@@ -229,11 +236,6 @@ class QueryService:
         breaker=None,
         default_deadline=None,
         work_dir=None,
-        checkpoint_every=1,
-        hang_grace=1.0,
-        supervise_interval=0.02,
-        max_worker_restarts=32,
-        sleeper=None,
         clock=None,
         metrics=None,
     ):
@@ -246,10 +248,6 @@ class QueryService:
         self.retry = retry or RetryPolicy()
         self.breaker = breaker or CircuitBreaker()
         self.default_deadline = default_deadline
-        self.hang_grace = hang_grace
-        self.supervise_interval = supervise_interval
-        self.max_worker_restarts = max_worker_restarts
-        self._sleeper = sleeper or time.sleep
         self._clock = clock or time.monotonic
         self._owns_work_dir = work_dir is None
         if work_dir is None:
@@ -257,9 +255,7 @@ class QueryService:
         else:
             os.makedirs(work_dir, exist_ok=True)
         self.work_dir = work_dir
-        self.executor = JobExecutor(
-            work_dir=work_dir, checkpoint_every=checkpoint_every
-        )
+        self.executor = JobExecutor(work_dir=work_dir)
 
         self._queue = collections.deque()
         self._cond = threading.Condition()
@@ -634,7 +630,7 @@ class QueryService:
         cannot continue (death propagates as WorkerDiedError)."""
         if job.pending_delay > 0.0:
             delay, job.pending_delay = job.pending_delay, 0.0
-            self._sleeper(delay)
+            time.sleep(delay)
         try:
             fault_point("worker_start")
         except WorkerDiedError:
@@ -693,7 +689,7 @@ class QueryService:
             except Exception as error:
                 if self.retry.retryable(error, job.attempts):
                     self._count("retries")
-                    self._sleeper(self._bounded_delay(job))
+                    time.sleep(self._bounded_delay(job))
                     continue
                 if self._degradable(job, error):
                     job.backend = BACKEND_REFERENCE
@@ -905,7 +901,7 @@ class QueryService:
                         return
             self._check_workers()
             self._expire_queued_jobs()
-            time.sleep(self.supervise_interval)
+            time.sleep(SUPERVISE_INTERVAL)
 
     def _check_workers(self):
         with self._cond:
@@ -929,7 +925,7 @@ class QueryService:
     def _restart_worker(self):
         with self._stats_lock:
             restarts = self._stats["worker_restarts"]
-            if self._stopping or restarts >= self.max_worker_restarts:
+            if self._stopping or restarts >= MAX_WORKER_RESTARTS:
                 return
             self._stats["worker_restarts"] += 1
         self._spawn_worker()
@@ -957,7 +953,7 @@ class QueryService:
             return False
         if job.deadline_at is None:
             return False
-        return self._clock() > job.deadline_at + self.hang_grace
+        return self._clock() > job.deadline_at + HANG_GRACE
 
     def _recover_orphan(self, worker):
         """Requeue the job a dead/hung worker was holding, if any."""
