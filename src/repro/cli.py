@@ -61,11 +61,16 @@ Observability: ``run``/``query``/``datalog1s``/``templog`` accept
 accepts ``--profile`` (per-operator time and cardinalities from a
 real run), and ``batch --json`` reports the service metrics registry.
 
-Exit codes are stable for machine consumers:
+The evaluating commands run through the service's attempt code
+(:meth:`repro.service.executor.JobExecutor.execute`) and take their
+exit code from its outcome.  Exit codes are stable for machine
+consumers:
 
 ====  =====================================================
 0     success (complete model / answers; every batch job ok)
-1     other library or internal error / any batch job failed
+1     evaluation aborted by a fault (the partial model is still
+      reported), other library or internal error / any batch
+      job failed
 2     usage error: bad arguments, unreadable file, parse error
 3     gave up / partial model (paper's Section-4.3 policy);
       for ``batch``: some jobs partial, none failed
@@ -95,24 +100,19 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from repro.core import DeductiveEngine, parse_program
-from repro.datalog1s import minimal_model, parse_datalog1s
-from repro.fo import evaluate_query
 from repro.gdb import parse_database
+from repro.plan import memo
 from repro.runtime.budget import EvaluationBudget
-from repro.runtime.report import run_report
-from repro.templog import parse_templog, templog_minimal_model
-from repro.util.errors import (
-    BudgetExceededError,
-    EvaluationAbortedError,
-    GiveUpError,
-    ParseError,
-    ReproError,
-)
+from repro.runtime.report import error_summary, model_summary
+from repro.service.executor import BACKEND_COMPILED, JobExecutor
+from repro.service.jobs import JobSpec
+from repro.util.errors import ParseError, ReproError
 from repro.util.sorting import typed_sort_key
 
 EXIT_OK = 0
@@ -120,6 +120,14 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
 EXIT_BUDGET = 4
+
+#: The exit code of each way an evaluation ends.
+EXIT_CODES = {
+    "ok": EXIT_OK,
+    "gave-up": EXIT_PARTIAL,
+    "budget-exceeded": EXIT_BUDGET,
+    "aborted": EXIT_ERROR,
+}
 
 
 class _UsageError(Exception):
@@ -135,16 +143,6 @@ def _read(path):
         raise _UsageError("cannot read %s: %s" % (path, reason)) from error
 
 
-def _add_window(parser):
-    parser.add_argument(
-        "--window",
-        nargs=2,
-        type=int,
-        metavar=("LOW", "HIGH"),
-        help="also enumerate ground answers within [LOW, HIGH)",
-    )
-
-
 def _add_json(parser):
     parser.add_argument(
         "--json",
@@ -153,7 +151,21 @@ def _add_json(parser):
     )
 
 
-def _add_deadline(parser):
+def _add_evaluation(parser, handler, limits=3, window=True):
+    """The flags every evaluating command shares: ``--json``,
+    ``--window`` (when ``window``), ``--trace``, the wall-clock deadline
+    and the first ``limits`` of the round, accepted-tuple and
+    derived-work budgets; and the command's handler."""
+    _add_json(parser)
+    if window:
+        parser.add_argument(
+            "--window",
+            nargs=2,
+            type=int,
+            metavar=("LOW", "HIGH"),
+            help="also enumerate ground answers within [LOW, HIGH)",
+        )
+    _add_trace(parser)
     parser.add_argument(
         "--deadline-seconds",
         "--deadline",
@@ -163,29 +175,22 @@ def _add_deadline(parser):
         help="wall-clock budget for the evaluation (exit code 4 when "
         "exceeded; any partial model is still reported under --json)",
     )
+    for flag, help_text in (
+        ("--max-rounds", "budget on fixpoint rounds"),
+        ("--max-tuples", "budget on tuples accepted into the model"),
+        ("--max-derived", "budget on total derived-tuple work"),
+    )[:limits]:
+        parser.add_argument(flag, type=int, metavar="N", help=help_text)
+    parser.set_defaults(handler=handler)
 
 
-def _add_budget(parser, full=True):
-    _add_deadline(parser)
+def _add_fault_plan(parser):
     parser.add_argument(
-        "--max-rounds",
-        type=int,
-        metavar="N",
-        help="budget on fixpoint rounds",
+        "--fault-plan",
+        metavar="PATH",
+        help="JSON fault plan installed for the whole command (deterministic "
+        "chaos testing; see repro.runtime.faults)",
     )
-    if full:
-        parser.add_argument(
-            "--max-tuples",
-            type=int,
-            metavar="N",
-            help="budget on tuples accepted into the model",
-        )
-        parser.add_argument(
-            "--max-derived",
-            type=int,
-            metavar="N",
-            help="budget on total derived-tuple work",
-        )
 
 
 def _budget_from_args(args):
@@ -210,33 +215,17 @@ def _add_trace(parser):
     )
 
 
-def _tracing(args):
-    """Context manager subscribing a :class:`TraceRecorder` writing to
-    ``args.trace`` for the duration of the evaluation; a no-op when the
-    flag is absent."""
-    import contextlib
-
-    path = getattr(args, "trace", None)
-    if not path:
-        return contextlib.nullcontext()
-    from repro.obs import TraceRecorder
-    from repro.util import hooks
-
-    @contextlib.contextmanager
-    def _subscribed():
-        recorder = TraceRecorder(path=path, keep=False)
-        try:
-            with hooks.subscribed(recorder):
-                yield recorder
-        finally:
-            recorder.close()
-
-    return _subscribed()
-
-
 def _emit_json(report, out):
     json.dump(report, out, indent=2, sort_keys=False)
     print(file=out)
+
+
+def _emit_report(out, command, outcome="ok", **fields):
+    """Print the ``--json`` report of ``command``: its outcome and exit
+    code, then ``fields``.  Returns the exit code."""
+    code = EXIT_CODES[outcome]
+    _emit_json(dict(command=command, outcome=outcome, exit_code=code, **fields), out)
+    return code
 
 
 def _emit_json_line(report, out):
@@ -246,103 +235,128 @@ def _emit_json_line(report, out):
     out.flush()
 
 
+@contextlib.contextmanager
+def _instrumented(args):
+    """The command's ``--fault-plan`` installed and its ``--trace`` (a
+    JSONL span trace) recorded around the block; each is a no-op when
+    its flag is absent."""
+    plan = _load_fault_plan(args.fault_plan) if getattr(args, "fault_plan", None) else None
+    with plan.installed() if plan is not None else contextlib.nullcontext():
+        if not getattr(args, "trace", None):
+            yield
+            return
+        from repro.obs import TraceRecorder
+        from repro.util import hooks
+
+        recorder = TraceRecorder(path=args.trace, keep=False)
+        try:
+            with hooks.subscribed(recorder):
+                yield
+        finally:
+            recorder.close()
+
+
+def _execute(args, spec, **kwargs):
+    """Evaluate ``spec`` through the executor's attempt path under the
+    command's budget flags, fault plan and trace."""
+    budget = _budget_from_args(args)
+    with _instrumented(args):
+        return JobExecutor().execute(spec, BACKEND_COMPILED, budget, **kwargs)
+
+
+def _print_error(result):
+    if result.error is not None:
+        print("%s: %s" % (result.outcome, result.error), file=sys.stderr)
+
+
+def _print_rows(rows, out):
+    for row in sorted(rows, key=typed_sort_key):
+        print("  %s" % (tuple(row),), file=out)
+
+
+def _print_model(model, window, out, predicates=None, stats=False):
+    """Each predicate's coalesced relation, then (``--stats``) its
+    relation statistics and its ground tuples within ``window``."""
+    for name in model.predicates() if predicates is None else predicates:
+        print("%s %s" % (name, model.relation(name).coalesce()), file=out)
+        if stats:
+            from repro.gdb.analysis import analyze
+
+            print("%% stats: %s" % analyze(model.relation(name)), file=out)
+        if window:
+            _print_rows(model.extension(name, *window), out)
+
+
+def _report_model(args, command, result, out, header=(), predicates=None, **extra):
+    """Report an evaluation whose answer is a deductive model: the
+    ``--json`` run report plus ``extra`` keys, or else the reason it
+    stopped on stderr, then (with a model) the ``header`` lines and the
+    model.  Returns the exit code."""
+    window = tuple(args.window) if args.window else None
+    if args.json:
+        return _emit_report(
+            out,
+            command,
+            result.outcome,
+            error=error_summary(result.error),
+            stats=result.stats,
+            model=model_summary(result.model, window=window),
+            **extra,
+        )
+    _print_error(result)
+    if result.model is not None:
+        for line in header:
+            print(line, file=out)
+        _print_model(result.model, window, out, predicates, getattr(args, "stats", False))
+    return EXIT_CODES[result.outcome]
+
+
 def _cmd_run(args, out):
-    program = parse_program(_read(args.program))
-    edb = parse_database(_read(args.edb))
-    engine = DeductiveEngine(
-        program,
-        edb,
-        strategy=args.strategy,
-        patience=args.patience,
-        on_give_up="partial" if args.partial else "raise",
-    )
     if args.checkpoint_every is not None:
         if args.checkpoint_every < 1:
             raise _UsageError("--checkpoint-every must be a positive round count")
         if args.checkpoint is None:
             raise _UsageError("--checkpoint-every requires --checkpoint PATH")
-    plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
-    outcome, code, model, error = "ok", EXIT_OK, None, None
-    with _installed_or_noop(plan), _tracing(args):
-        try:
-            model = engine.run(
-                budget=_budget_from_args(args),
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_path=args.checkpoint,
-                resume_from=args.resume_from,
-            )
-            if model.stats.gave_up:
-                outcome, code = "gave-up", EXIT_PARTIAL
-        except GiveUpError as err:
-            outcome, code, model, error = (
-                "gave-up",
-                EXIT_PARTIAL,
-                err.partial_model,
-                err,
-            )
-        except BudgetExceededError as err:
-            outcome, code, model, error = (
-                "budget-exceeded",
-                EXIT_BUDGET,
-                err.partial_model,
-                err,
-            )
-        except EvaluationAbortedError as err:
-            outcome, code, model, error = (
-                "aborted",
-                EXIT_ERROR,
-                err.partial_model,
-                err,
-            )
-
-    window = tuple(args.window) if args.window else None
-    if args.json:
-        _emit_json(
-            run_report(
-                "run",
-                outcome,
-                code,
-                stats=model.stats if model is not None else None,
-                model=model,
-                error=error,
-                window=window,
-            ),
-            out,
-        )
-        return code
-
-    if error is not None:
-        print("%s: %s" % (outcome, error), file=sys.stderr)
-    if model is None:
-        return code
-
-    stats = model.stats
-    print(
-        "%% %d strata, %d rounds, constraint safe: %s%s"
-        % (
-            stats.strata,
-            stats.rounds,
-            stats.constraint_safe,
-            " (gave up)" if stats.gave_up else "",
-        ),
-        file=out,
+    spec = JobSpec(
+        "run",
+        "run",
+        program=_read(args.program),
+        edb=_read(args.edb),
+        patience=args.patience,
+        strategy=args.strategy,
     )
-    predicates = [args.predicate] if args.predicate else model.predicates()
-    for name in predicates:
-        relation = model.relation(name).coalesce()
-        print("%s %s" % (name, relation), file=out)
-        if args.stats:
-            from repro.gdb.analysis import analyze
-
-            print("%% stats: %s" % analyze(model.relation(name)), file=out)
-        if window:
-            low, high = window
-            for flat in sorted(model.extension(name, low, high), key=typed_sort_key):
-                print("  %s" % (flat,), file=out)
-    if args.verify and outcome == "ok":
+    result = _execute(
+        args,
+        spec,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+        resume_from=args.resume_from,
+    )
+    if args.partial and result.outcome == "gave-up":
+        result.error = None  # the partial model is the asked-for answer
+    header = ()
+    if result.model is not None:
+        stats = result.model.stats
+        header = [
+            "%% %d strata, %d rounds, constraint safe: %s%s"
+            % (
+                stats.strata,
+                stats.rounds,
+                stats.constraint_safe,
+                " (gave up)" if stats.gave_up else "",
+            )
+        ]
+    predicates = [args.predicate] if args.predicate else None
+    code = _report_model(args, "run", result, out, header, predicates)
+    if args.verify and not args.json and result.outcome == "ok":
         from repro.core.verify import verify_model
 
-        report = verify_model(program, edb, model, window=window or (0, 200))
+        report = verify_model(
+            memo.parsed("program", spec.program, parse_program),
+            memo.parsed("edb", spec.edb, parse_database),
+            result.model,
+            window=tuple(args.window) if args.window else (0, 200),
+        )
         print("%% %s" % report, file=out)
         if not report.ok():
             return EXIT_ERROR
@@ -430,17 +444,10 @@ def _cmd_explain(args, out):
         collector, model = _profile_run(program, edb, args.strategy)
         profile = (collector, model)
     if args.json:
-        report = {
-            "command": "explain",
-            "outcome": "ok",
-            "exit_code": EXIT_OK,
-            "plan_fingerprint": fingerprint,
-            "plans": rendering,
-        }
+        report = {"plan_fingerprint": fingerprint, "plans": rendering}
         if profile is not None:
             report["profile"] = _profile_payload(*profile)
-        _emit_json(report, out)
-        return EXIT_OK
+        return _emit_report(out, "explain", **report)
     print(rendering, file=out)
     print("%% plan fingerprint: %s" % fingerprint, file=out)
     if profile is not None:
@@ -449,147 +456,81 @@ def _cmd_explain(args, out):
 
 
 def _cmd_query(args, out):
-    edb = parse_database(_read(args.database))
+    edb = _read(args.database)
     if args.goal_directed and not args.program:
         raise _UsageError("--goal-directed requires --program")
-    magic_info = None
-    try:
-        with _tracing(args):
-            budget = _budget_from_args(args)
-            if args.program:
-                from repro.plan.magic import goal_from_formula
-
-                program = parse_program(_read(args.program))
-                engine = DeductiveEngine(program, edb, on_give_up="partial")
-                if args.goal_directed:
-                    window = tuple(args.window) if args.window else None
-                    goal, reason = goal_from_formula(
-                        args.formula,
-                        program.intensional_predicates(),
-                        window=window,
-                    )
-                    if goal is None:
-                        model = engine.run(budget=budget)
-                        model.stats.magic_degraded = {"reason": reason}
-                        magic_info = {"degraded": True, "reason": reason}
-                    else:
-                        model, magic_info = engine.run_goal_directed(
-                            goal, budget=budget
-                        )
-                else:
-                    model = engine.run(budget=budget)
-                answers = model.query(args.formula)
-            else:
-                answers = evaluate_query(edb, args.formula, budget=budget)
-    except BudgetExceededError as err:
+    spec = JobSpec(
+        "query",
+        "query",
+        program=_read(args.program) if args.program else "",
+        edb=edb,
+        query=args.formula,
+        window=tuple(args.window) if args.window else None,
+        goal_directed=args.goal_directed,
+    )
+    result = _execute(args, spec)
+    code = EXIT_CODES[result.outcome]
+    if result.outcome not in ("ok", "gave-up"):
+        # The evaluation stopped before the query could be answered.
         if args.json:
-            _emit_json(
-                run_report("query", "budget-exceeded", EXIT_BUDGET, error=err),
-                out,
-            )
-        else:
-            print("budget-exceeded: %s" % err, file=sys.stderr)
-        return EXIT_BUDGET
-    header = ", ".join(answers.temporal_vars + answers.data_vars) or "(closed)"
-    if args.json:
-        report = {
-            "command": "query",
-            "outcome": "ok",
-            "exit_code": EXIT_OK,
-            "answers_over": header,
-            "relation": str(answers.relation),
-        }
-        if magic_info is not None:
-            report["magic"] = magic_info
-        if not answers.temporal_vars and not answers.data_vars:
-            report["truth_value"] = answers.is_true()
-        if args.window:
-            low, high = args.window
-            report["window"] = {
-                "low": low,
-                "high": high,
-                "tuples": sorted(
-                    [list(flat) for flat in answers.extension(low, high)], key=typed_sort_key
-                ),
-            }
-        _emit_json(report, out)
-        return EXIT_OK
-    print("%% answers over: %s" % header, file=out)
-    if magic_info is not None:
-        if magic_info.get("degraded"):
-            print(
-                "%% goal-directed: degraded to full fixpoint (%s)"
-                % magic_info["reason"],
-                file=out,
-            )
-        else:
-            print(
-                "%% goal-directed: %s (dropped %d clauses, %d magic facts)"
-                % (
-                    magic_info["goal"],
-                    magic_info["dropped_clauses"],
-                    magic_info["magic_facts"],
-                ),
-                file=out,
-            )
-    print(str(answers.relation), file=out)
-    if not answers.temporal_vars and not answers.data_vars:
-        print("%% truth value: %s" % answers.is_true(), file=out)
-    if args.window:
-        low, high = args.window
-        for flat in sorted(answers.extension(low, high), key=typed_sort_key):
-            print("  %s" % (flat,), file=out)
-    return EXIT_OK
-
-
-def _periodic_model_command(command, parse, evaluate):
-    """Shared handler shape of the ``datalog1s``/``templog`` commands."""
-
-    def handler(args, out):
-        program = parse(_read(args.program))
-        outcome, code, model, error = "ok", EXIT_OK, None, None
-        with _tracing(args):
-            try:
-                model = evaluate(program, budget=_budget_from_args(args))
-            except BudgetExceededError as err:
-                outcome, code, model, error = (
-                    "budget-exceeded",
-                    EXIT_BUDGET,
-                    err.partial_model,
-                    err,
-                )
-        if args.json:
-            _emit_json(
-                {
-                    "command": command,
-                    "outcome": outcome,
-                    "exit_code": code,
-                    "error": None if error is None else str(error),
-                    "model": None if model is None else str(model),
-                },
-                out,
-            )
-            return code
-        if error is not None:
-            print("%s: %s" % (outcome, error), file=sys.stderr)
-        if model is not None:
-            print(str(model), file=out)
+            error = error_summary(result.error)
+            return _emit_report(out, "query", result.outcome, error=error, stats=None, model=None)
+        _print_error(result)
         return code
+    answers = result.model
+    header = ", ".join(answers.temporal_vars + answers.data_vars) or "(closed)"
+    closed = not answers.temporal_vars and not answers.data_vars
+    magic = result.magic
+    if args.json:
+        report = {}
+        if result.error is not None:
+            report["error"] = error_summary(result.error)
+        report["answers_over"] = header
+        report["relation"] = str(answers.relation)
+        if magic is not None:
+            report["magic"] = magic
+        if closed:
+            report["truth_value"] = answers.is_true()
+        if result.window is not None:
+            report["window"] = result.window
+        return _emit_report(out, "query", result.outcome, **report)
+    _print_error(result)
+    print("%% answers over: %s" % header, file=out)
+    if magic is not None and magic.get("degraded"):
+        print(
+            "%% goal-directed: degraded to full fixpoint (%s)" % magic["reason"],
+            file=out,
+        )
+    elif magic is not None:
+        print(
+            "%% goal-directed: %s (dropped %d clauses, %d magic facts)"
+            % (magic["goal"], magic["dropped_clauses"], magic["magic_facts"]),
+            file=out,
+        )
+    print(str(answers.relation), file=out)
+    if closed:
+        print("%% truth value: %s" % answers.is_true(), file=out)
+    if result.window is not None:
+        _print_rows(result.window["tuples"], out)
+    return code
 
-    return handler
 
-
-_cmd_datalog1s = _periodic_model_command(
-    "datalog1s",
-    parse_datalog1s,
-    lambda program, budget: minimal_model(program, budget=budget),
-)
-
-_cmd_templog = _periodic_model_command(
-    "templog",
-    parse_templog,
-    lambda program, budget: templog_minimal_model(program, budget=budget),
-)
+def _cmd_periodic(args, out):
+    """The ``datalog1s`` and ``templog`` commands."""
+    command = args.command
+    result = _execute(args, JobSpec(command, command, program=_read(args.program)))
+    if args.json:
+        return _emit_report(
+            out,
+            command,
+            result.outcome,
+            error=None if result.error is None else str(result.error),
+            model=None if result.model is None else str(result.model),
+        )
+    _print_error(result)
+    if result.model is not None:
+        print(str(result.model), file=out)
+    return EXIT_CODES[result.outcome]
 
 
 # -- service commands -----------------------------------------------------
@@ -602,8 +543,6 @@ def _load_job_specs(text, base_dir="."):
     ``program_file`` / ``edb_file`` / ``query_file`` paths resolved
     relative to the jobs file.
     """
-    from repro.service import JobSpec
-
     text = text.strip()
     if not text:
         raise _UsageError("jobs file is empty")
@@ -626,29 +565,27 @@ def _load_job_specs(text, base_dir="."):
                 ) from error
     specs = []
     for index, payload in enumerate(payloads, start=1):
-        if not isinstance(payload, dict):
-            raise _UsageError("job %d is not a JSON object" % index)
         try:
-            specs.append(
-                JobSpec.from_json_dict(
-                    _resolve_job_files(payload, base_dir),
-                    default_id="job-%d" % index,
-                )
-            )
+            specs.append(_job_spec(payload, base_dir, index))
         except ValueError as error:
             raise _UsageError("job %d: %s" % (index, error)) from error
     return specs
 
 
-def _resolve_job_files(payload, base_dir="."):
-    """Inline ``program_file`` / ``edb_file`` / ``query_file``
-    references of a job object (paths relative to ``base_dir``)."""
+def _job_spec(payload, base_dir, number):
+    """The spec of job ``number``, a JSON job object whose
+    ``program_file`` / ``edb_file`` / ``query_file`` paths (relative to
+    ``base_dir``) are read in as ``program`` / ``edb`` / ``query``."""
+    if not isinstance(payload, dict):
+        raise ValueError("job must be a JSON object")
     payload = dict(payload)
     for key in ("program", "edb", "query"):
         path = payload.pop("%s_file" % key, None)
+        if path is not None and not isinstance(path, str):
+            raise ValueError("%s_file must be a path string" % key)
         if path is not None and key not in payload:
             payload[key] = _read(os.path.join(base_dir, path))
-    return payload
+    return JobSpec.from_json_dict(payload, default_id="job-%d" % number)
 
 
 def _load_fault_plan(path):
@@ -682,8 +619,8 @@ def _build_service(args):
     )
 
 
-def _batch_exit_code(results):
-    states = {result.state for result in results}
+def _states_exit_code(states):
+    """The exit code of a batch of jobs, from their terminal states."""
     if states & {"failed", "rejected"}:
         return EXIT_ERROR
     if "partial" in states:
@@ -695,14 +632,12 @@ def _cmd_batch(args, out):
     specs = _load_job_specs(
         _read(args.jobs), base_dir=os.path.dirname(os.path.abspath(args.jobs))
     )
-    plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
-    with _installed_or_noop(plan):
-        with _build_service(args) as service:
-            results = service.run_batch(specs, timeout=args.batch_timeout)
-            stats = service.stats()
-            health = service.health()
-            metrics = service.metrics.to_dict()
-    code = _batch_exit_code(results)
+    with _instrumented(args), _build_service(args) as service:
+        results = service.run_batch(specs, timeout=args.batch_timeout)
+        stats = service.stats()
+        health = service.health()
+        metrics = service.metrics.to_dict()
+    code = _states_exit_code({result.state for result in results})
     if args.json:
         _emit_json(
             {
@@ -749,12 +684,6 @@ def _cmd_batch(args, out):
     return code
 
 
-def _installed_or_noop(plan):
-    import contextlib
-
-    return plan.installed() if plan is not None else contextlib.nullcontext()
-
-
 def _emit_metrics(service, out):
     """The ``metrics`` op of the serve protocol: raw Prometheus-style
     text exposition (not a JSON line — scrapers consume it verbatim)."""
@@ -772,14 +701,12 @@ def _cmd_serve(args, out):
     import signal
     import threading
 
-    plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
     if args.input is not None:
         stream = open(args.input)
         base_dir = os.path.dirname(os.path.abspath(args.input))
     else:
         stream = sys.stdin
         base_dir = "."
-    from repro.service import JobSpec
     from repro.util.errors import ServiceError
 
     # The reader loop submits jobs; a writer thread prints each result
@@ -828,7 +755,7 @@ def _cmd_serve(args, out):
             # loop still works, just without signal-triggered shutdown.
             pass
 
-    with _installed_or_noop(plan), _tracing(args):
+    with _instrumented(args):
         with _build_service(args) as service:
             writer = threading.Thread(
                 target=write_results, name="repro-serve-writer", daemon=True
@@ -841,27 +768,17 @@ def _cmd_serve(args, out):
                     line = line.strip()
                     if not line:
                         continue
-                    if line in ("health", '"health"') or line == '{"op": "health"}':
-                        emit(service.health())
-                        continue
-                    if line in ("metrics", '"metrics"') or line == '{"op": "metrics"}':
-                        with lock:
-                            _emit_metrics(service, out)
-                        continue
                     try:
-                        payload = json.loads(line)
-                        if isinstance(payload, dict) and payload.get("op") == "health":
+                        payload = line if line in ("health", "metrics") else json.loads(line)
+                        op = payload.get("op") if isinstance(payload, dict) else payload
+                        if op == "health":
                             emit(service.health())
                             continue
-                        if isinstance(payload, dict) and payload.get("op") == "metrics":
+                        if op == "metrics":
                             with lock:
                                 _emit_metrics(service, out)
                             continue
-                        spec = JobSpec.from_json_dict(
-                            _resolve_job_files(payload, base_dir),
-                            default_id="job-%d" % number,
-                        )
-                        handle = service.submit(spec)
+                        handle = service.submit(_job_spec(payload, base_dir, number))
                         with lock:
                             pending[0] += 1
                         submitted.put(handle)
@@ -884,7 +801,7 @@ def _cmd_serve(args, out):
             except _GracefulShutdown:
                 # Drain: every already-submitted job finishes and its
                 # result line is written before the service closes
-                # (flushing metrics) and _tracing closes the recorder.
+                # (flushing metrics) and the trace recorder closes.
                 with lock:
                     drained = pending[0]
                 try:
@@ -907,11 +824,7 @@ def _cmd_serve(args, out):
                     stream.close()
     if stopped["signal"] is not None:
         return EXIT_OK
-    if states & {"failed", "rejected"}:
-        return EXIT_ERROR
-    if "partial" in states:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _states_exit_code(states)
 
 
 def _open_store(args):
@@ -955,44 +868,46 @@ def _cmd_txn_apply(args, out):
     from repro.edb import MaterializedModel, ops_from_json
 
     batches = _load_txn_batches(args.ops)
-    plan = _load_fault_plan(args.fault_plan) if args.fault_plan else None
-    maintainer = None
+    spec = maintainer = result = None
     if args.maintain:
         maintainer = MaterializedModel(_read(args.maintain))
+        spec = JobSpec(
+            "txn-apply", "maintain", program=maintainer.program_text, store=args.store
+        )
+    budget = _budget_from_args(args)
     receipts, reports = [], []
-    model = None
-    with _installed_or_noop(plan), _tracing(args):
+    with _instrumented(args):
         store = _open_store(args)
         try:
             for batch in batches:
                 receipt = store.apply(ops_from_json(store, batch))
                 receipts.append(receipt.to_json_dict())
-                if maintainer is not None:
-                    model = maintainer.refresh(
-                        store, budget=_budget_from_args(args)
-                    )
-                    reports.append(maintainer.last_report.to_json_dict())
-            if args.txn_checkpoint:
-                store.checkpoint()
+                if spec is None:
+                    continue
+                result = JobExecutor().execute(
+                    spec, BACKEND_COMPILED, budget, store=store, maintainer=maintainer
+                )
+                if result.outcome != "ok":
+                    break
+                reports.append(maintainer.last_report.to_json_dict())
+            else:
+                if args.txn_checkpoint:
+                    store.checkpoint()
         finally:
             store.close()
+    outcome = "ok" if result is None else result.outcome
+    model = None if result is None else result.model
     window = tuple(args.window) if args.window else None
     if args.json:
-        payload = {
-            "command": "txn-apply",
-            "outcome": "ok",
-            "exit_code": EXIT_OK,
-            "head_tx": store.head_tx,
-            "receipts": receipts,
-            "maintain": reports or None,
-        }
+        report = {"head_tx": store.head_tx, "receipts": receipts, "maintain": reports or None}
+        if outcome != "ok":
+            report["error"] = error_summary(result.error)
         if model is not None:
-            from repro.runtime.report import model_summary
-
-            payload["stats"] = model.stats.to_dict()
-            payload["model"] = model_summary(model, window=window)
-        _emit_json(payload, out)
-        return EXIT_OK
+            report["stats"] = result.stats
+            report["model"] = model_summary(model, window=window)
+        return _emit_report(out, "txn-apply", outcome, **report)
+    if result is not None:
+        _print_error(result)
     for receipt in receipts:
         print(
             "tx %d: +%d -%d (declared %d, noops %d, %d WAL bytes)"
@@ -1021,13 +936,8 @@ def _cmd_txn_apply(args, out):
             file=out,
         )
     if model is not None:
-        for name in model.predicates():
-            print("%s %s" % (name, model.relation(name).coalesce()), file=out)
-            if window:
-                low, high = window
-                for flat in sorted(model.extension(name, low, high), key=typed_sort_key):
-                    print("  %s" % (flat,), file=out)
-    return EXIT_OK
+        _print_model(model, window, out)
+    return EXIT_CODES[outcome]
 
 
 def _cmd_txn_log(args, out):
@@ -1035,17 +945,7 @@ def _cmd_txn_log(args, out):
     store.close()
     txns = store.transactions()
     if args.json:
-        _emit_json(
-            {
-                "command": "txn-log",
-                "outcome": "ok",
-                "exit_code": EXIT_OK,
-                "head_tx": store.head_tx,
-                "txns": txns,
-            },
-            out,
-        )
-        return EXIT_OK
+        return _emit_report(out, "txn-log", head_tx=store.head_tx, txns=txns)
     for entry in txns:
         print(
             "tx %d: +%d -%d (declared %d)"
@@ -1063,17 +963,7 @@ def _cmd_txn_checkpoint(args, out):
     finally:
         store.close()
     if args.json:
-        _emit_json(
-            {
-                "command": "txn-checkpoint",
-                "outcome": "ok",
-                "exit_code": EXIT_OK,
-                "head_tx": store.head_tx,
-                "path": path,
-            },
-            out,
-        )
-        return EXIT_OK
+        return _emit_report(out, "txn-checkpoint", head_tx=store.head_tx, path=path)
     print("checkpoint at tx %d -> %s" % (store.head_tx, path), file=out)
     return EXIT_OK
 
@@ -1092,84 +982,32 @@ def _cmd_asof(args, out):
         raise _UsageError("--goal-directed requires --program")
     if not args.program:
         if args.json:
-            _emit_json(
-                {
-                    "command": "asof",
-                    "outcome": "ok",
-                    "exit_code": EXIT_OK,
-                    "tx": tx,
-                    "head_tx": store.head_tx,
-                    "edb": str(snapshot),
-                },
-                out,
-            )
-            return EXIT_OK
+            return _emit_report(out, "asof", tx=tx, head_tx=store.head_tx, edb=str(snapshot))
         print("%% EDB as of tx %d (head %d)" % (tx, store.head_tx), file=out)
         print(str(snapshot), file=out)
         return EXIT_OK
     if args.goal_directed and not args.predicate:
         raise _UsageError("--goal-directed requires --predicate")
-    program = parse_program(_read(args.program))
-    engine = DeductiveEngine(program, snapshot)
-    outcome, code, model, error = "ok", EXIT_OK, None, None
-    magic_info = None
-    with _tracing(args):
-        try:
-            if args.goal_directed:
-                from repro.plan.magic import QueryGoal
+    goal = None
+    if args.goal_directed:
+        from repro.plan.magic import QueryGoal
 
-                if window:
-                    goal = QueryGoal.windowed(args.predicate, window[0], window[1])
-                else:
-                    goal = QueryGoal.whole(args.predicate)
-                model, magic_info = engine.run_goal_directed(
-                    goal, budget=_budget_from_args(args)
-                )
-            else:
-                model = engine.run(budget=_budget_from_args(args))
-        except GiveUpError as err:
-            outcome, code, model, error = "gave-up", EXIT_PARTIAL, err.partial_model, err
-        except BudgetExceededError as err:
-            outcome, code, model, error = (
-                "budget-exceeded",
-                EXIT_BUDGET,
-                err.partial_model,
-                err,
-            )
-    if args.json:
-        report = run_report(
-            "asof",
-            outcome,
-            code,
-            stats=model.stats if model is not None else None,
-            model=model,
-            error=error,
-            window=window,
-        )
-        report["tx"] = tx
-        if magic_info is not None:
-            report["magic"] = magic_info
-        _emit_json(report, out)
-        return code
-    if error is not None:
-        print("%s: %s" % (outcome, error), file=sys.stderr)
-    if model is None:
-        return code
-    print("%% model as of tx %d (head %d)" % (tx, store.head_tx), file=out)
-    if magic_info is not None and not magic_info.get("degraded"):
-        # A goal-directed model is only promised within the demanded
-        # region of the goal predicate; print just that.
-        print("%% goal-directed: %s" % magic_info["goal"], file=out)
-    predicates = model.predicates()
-    if magic_info is not None and not magic_info.get("degraded"):
-        predicates = [name for name in predicates if name == args.predicate]
-    for name in predicates:
-        print("%s %s" % (name, model.relation(name).coalesce()), file=out)
         if window:
-            low, high = window
-            for flat in sorted(model.extension(name, low, high), key=typed_sort_key):
-                print("  %s" % (flat,), file=out)
-    return code
+            goal = QueryGoal.windowed(args.predicate, window[0], window[1])
+        else:
+            goal = QueryGoal.whole(args.predicate)
+    spec = JobSpec("asof", "run", program=_read(args.program))
+    result = _execute(args, spec, edb=snapshot, goal=goal)
+    header = ["%% model as of tx %d (head %d)" % (tx, store.head_tx)]
+    predicates, extra = None, {"tx": tx}
+    if result.magic is not None:
+        extra["magic"] = result.magic
+        if not result.magic.get("degraded"):
+            # A goal-directed model is only promised within the demanded
+            # region of the goal predicate; print just that.
+            header.append("%% goal-directed: %s" % result.magic["goal"])
+            predicates = [n for n in result.model.predicates() if n == args.predicate]
+    return _report_model(args, "asof", result, out, header, predicates, **extra)
 
 
 def build_parser():
@@ -1189,17 +1027,13 @@ def build_parser():
         "--strategy", choices=("naive", "semi-naive"), default="semi-naive"
     )
     run.add_argument("--patience", type=int, default=10)
-    run.add_argument(
-        "--fault-plan",
-        metavar="PATH",
-        help="JSON fault plan installed around the run (deterministic "
-        "chaos testing; see repro.runtime.faults)",
-    )
+    _add_fault_plan(run)
     run.add_argument(
         "--partial",
         action="store_true",
-        help="print the partial model instead of failing on give-up "
-        "(the exit code still reports 3)",
+        help="on give-up, report the partial model as the answer: drop the "
+        "give-up reason from stderr and from the --json error (the partial "
+        "model is printed either way; the exit code still reports 3)",
     )
     run.add_argument(
         "--stats",
@@ -1227,11 +1061,7 @@ def build_parser():
         metavar="PATH",
         help="resume evaluation from a checkpoint file",
     )
-    _add_budget(run)
-    _add_json(run)
-    _add_window(run)
-    _add_trace(run)
-    run.set_defaults(handler=_cmd_run)
+    _add_evaluation(run, _cmd_run)
 
     explain = commands.add_parser(
         "explain",
@@ -1271,27 +1101,17 @@ def build_parser():
         "within the demanded window (falls back to the full fixpoint "
         "when the rewrite cannot apply)",
     )
-    _add_deadline(query)
-    _add_json(query)
-    _add_window(query)
-    _add_trace(query)
-    query.set_defaults(handler=_cmd_query)
+    _add_evaluation(query, _cmd_query, limits=0)
 
     d1s = commands.add_parser(
         "datalog1s", help="closed-form Datalog1S minimal model"
     )
     d1s.add_argument("program", help="Datalog1S program file")
-    _add_budget(d1s, full=False)
-    _add_json(d1s)
-    _add_trace(d1s)
-    d1s.set_defaults(handler=_cmd_datalog1s)
+    _add_evaluation(d1s, _cmd_periodic, limits=1, window=False)
 
     tlg = commands.add_parser("templog", help="Templog minimal model")
     tlg.add_argument("program", help="Templog program file")
-    _add_budget(tlg, full=False)
-    _add_json(tlg)
-    _add_trace(tlg)
-    tlg.set_defaults(handler=_cmd_templog)
+    _add_evaluation(tlg, _cmd_periodic, limits=1, window=False)
 
     batch = commands.add_parser(
         "batch",
@@ -1356,16 +1176,8 @@ def build_parser():
         metavar="N",
         help="WAL segment rotation threshold (testing/tuning)",
     )
-    txn_apply.add_argument(
-        "--fault-plan",
-        metavar="FILE",
-        help="install a deterministic fault plan (JSON) for the duration",
-    )
-    _add_window(txn_apply)
-    _add_json(txn_apply)
-    _add_trace(txn_apply)
-    _add_budget(txn_apply)
-    txn_apply.set_defaults(handler=_cmd_txn_apply)
+    _add_fault_plan(txn_apply)
+    _add_evaluation(txn_apply, _cmd_txn_apply)
 
     txn_log = txn_commands.add_parser(
         "log", help="list the store's committed transactions"
@@ -1412,11 +1224,7 @@ def build_parser():
         "demand cone via the magic-set rewrite, pushing --window into "
         "the demand as a constraint zone",
     )
-    _add_window(asof)
-    _add_json(asof)
-    _add_trace(asof)
-    _add_budget(asof)
-    asof.set_defaults(handler=_cmd_asof)
+    _add_evaluation(asof, _cmd_asof)
 
     return parser
 
@@ -1473,11 +1281,7 @@ def _add_service(parser):
         metavar="PATH",
         help="directory for per-job checkpoints (temporary by default)",
     )
-    parser.add_argument(
-        "--fault-plan",
-        metavar="PATH",
-        help="JSON fault plan to install for the whole run (testing)",
-    )
+    _add_fault_plan(parser)
 
 
 def main(argv=None, out=None):
@@ -1493,21 +1297,9 @@ def main(argv=None, out=None):
         return EXIT_USAGE
     try:
         return args.handler(args, out)
-    except _UsageError as error:
+    except (_UsageError, ParseError, OSError) as error:
         print("error: %s" % error, file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as error:
-        print("budget exceeded: %s" % error, file=sys.stderr)
-        return EXIT_BUDGET
-    except GiveUpError as error:
-        print("give-up: %s" % error, file=sys.stderr)
-        return EXIT_PARTIAL
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)
         return EXIT_ERROR
-    except OSError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return EXIT_USAGE

@@ -82,15 +82,3 @@ def error_summary(error, _depth=0):
         else:
             summary["cause"] = error_summary(cause, _depth=_depth + 1)
     return summary
-
-
-def run_report(command, outcome, exit_code, stats=None, model=None, error=None, window=None):
-    """Assemble the full report dict for one CLI invocation."""
-    return {
-        "command": command,
-        "outcome": outcome,
-        "exit_code": exit_code,
-        "error": error_summary(error),
-        "stats": None if stats is None else stats.to_dict(),
-        "model": model_summary(model, window=window),
-    }

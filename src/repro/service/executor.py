@@ -1,21 +1,22 @@
-"""One attempt of one job, under a remaining-time budget.
+"""One attempt of one job: the front door every evaluation goes through.
 
 The executor is the bridge between a :class:`~repro.service.jobs.JobSpec`
-and the library's four front ends.  It is deliberately *policy-free*:
-it runs exactly one attempt with the backend it is told to use and the
-wall-clock that is still left, and either returns an
-:class:`AttemptOutcome` (complete, gave-up, or deadline-degraded
-partial — all healthy terminal shapes) or lets the failure propagate
-for the worker pool to classify (retry / degrade / fail fast).
+and the library's front ends.  The query service's workers and the
+CLI's evaluating commands (``run``, ``query``, ``asof``, ``datalog1s``,
+``templog``, ``txn apply --maintain``) both run their evaluations
+through :meth:`JobExecutor.execute`.  It is deliberately *policy-free*:
+it runs exactly one attempt with the backend, budget and checkpoint
+files its caller passes in, and returns an :class:`AttemptOutcome`.
+:func:`attempt` is the one place where a give-up, a budget trip or an
+abort becomes an outcome; every other failure propagates for the caller
+to classify (the worker pool retries, degrades or fails the job; the
+CLI reports an error).
 
-For ``run`` jobs every attempt writes round-granular checkpoints to
-the job's own file under the service work directory, and a later
-attempt resumes from the last committed snapshot instead of
-restarting from round 0 — the engine's fingerprint check plus the
-atomic+durable :func:`~repro.runtime.checkpoint.write_checkpoint`
-make that safe even when the previous attempt died mid-write.  A
-corrupt or mismatched checkpoint falls back to a fresh start rather
-than failing the attempt.
+What differs between callers is an argument of the call, never a mode:
+the pool checkpoints ``run`` attempts into its work directory and
+resumes from the last committed snapshot (dropping a corrupt one), the
+CLI passes the user's ``--checkpoint``/``--resume-from`` files, an
+as-of snapshot EDB, a goal, or its open store.
 
 Program and EDB texts are parsed through :func:`repro.plan.memo.parsed`:
 a job that resends a text the process has seen reuses the parsed
@@ -25,6 +26,7 @@ goal-directed path copies the EDB before adding demand relations).
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -34,9 +36,13 @@ from repro.datalog1s import minimal_model, parse_datalog1s
 from repro.fo import evaluate_query
 from repro.gdb import parse_database
 from repro.plan import memo
-from repro.runtime.budget import EvaluationBudget
 from repro.templog import parse_templog, templog_minimal_model
-from repro.util.errors import BudgetExceededError, CheckpointError, SchemaError
+from repro.util.errors import (
+    BudgetExceededError,
+    EvaluationAbortedError,
+    GiveUpError,
+    SchemaError,
+)
 from repro.util.sorting import typed_sort_key
 
 #: Backend labels reported per job kind.
@@ -45,16 +51,25 @@ BACKEND_REFERENCE = "reference"
 BACKEND_CLOSED_FORM = "closed-form"
 BACKEND_FO = "fo"
 
+#: The outcome each typed early exit of an evaluation maps to.
+EARLY_EXITS = {
+    GiveUpError: "gave-up",
+    BudgetExceededError: "budget-exceeded",
+    EvaluationAbortedError: "aborted",
+}
+
 
 @dataclass
 class AttemptOutcome:
-    """A healthy terminal result of one attempt.
+    """How one attempt ended.
 
-    ``outcome`` is ``"ok"``, ``"gave-up"``, or ``"budget-exceeded"``
-    (the latter two map to the ``partial`` job state); ``resumed``
-    reports whether this attempt continued from a checkpoint.
-    ``model`` is kept as computed; the job report renders its text
-    only when it is read (:attr:`repro.service.jobs.JobResult.model_text`).
+    ``outcome`` is ``"ok"``, ``"gave-up"``, ``"budget-exceeded"`` or
+    ``"aborted"``; the last three carry the typed ``error`` and the
+    partial ``model`` it held.  ``resumed`` reports whether this attempt
+    continued from a checkpoint.  ``model`` is kept as computed (a
+    deductive model, query answers, or a closed-form model); its text is
+    rendered only when read (the CLI's renderers,
+    :attr:`repro.service.jobs.JobResult.model_text`).
     """
 
     outcome: str
@@ -64,27 +79,49 @@ class AttemptOutcome:
     error: Optional[BaseException] = None
     resumed: bool = False
     window: Optional[dict] = None
-    #: True when a goal-directed query attempt fell back to the full
-    #: fixpoint (the "magic → full" rung): the result is still exact,
-    #: so the attempt completes and the pool annotates the job's
+    #: The magic-set rewrite summary of a goal-directed evaluation that
+    #: completed.  ``magic["degraded"]`` marks the fall back to the full
+    #: fixpoint (the "magic → full" rung): the result is still exact, so
+    #: the attempt completes and the pool annotates the job's
     #: degradation ladder instead of burning a retry.
-    magic_degraded: bool = False
+    magic: Optional[dict] = None
 
 
-#: A ``run`` attempt checkpoints after every round, so a retry loses
-#: at most one round of work.
-CHECKPOINT_EVERY = 1
+def attempt(backend, evaluate):
+    """Run ``evaluate()``, which returns ``(model, magic)``, and map how
+    it ended to an :class:`AttemptOutcome`.
+
+    This is the one place where a :class:`GiveUpError`,
+    :class:`BudgetExceededError` or :class:`EvaluationAbortedError`
+    becomes an outcome, carrying the partial model and the statistics
+    the error holds.  Any other exception propagates.
+    """
+    error = magic = None
+    try:
+        model, magic = evaluate()
+    except tuple(EARLY_EXITS) as stopped:
+        error, model = stopped, stopped.partial_model
+    stats = getattr(model if error is None else error, "stats", None)
+    return AttemptOutcome(
+        outcome="ok" if error is None else EARLY_EXITS[type(error)],
+        backend=backend,
+        model=model,
+        stats=None if stats is None else stats.to_dict(),
+        error=error,
+        resumed=stats is not None and stats.resumed_from_round is not None,
+        magic=magic,
+    )
 
 
 class JobExecutor:
-    """Runs single attempts; owns the per-job checkpoint files."""
+    """Runs single attempts; owns the service's per-job checkpoint files."""
 
     def __init__(self, work_dir=None):
         self.work_dir = work_dir
 
     def checkpoint_path(self, spec):
-        """Where ``run`` attempts for this job checkpoint (``None``
-        when checkpointing is disabled)."""
+        """Where the service checkpoints ``run`` attempts of this job
+        (``None`` when checkpointing is disabled)."""
         if self.work_dir is None or spec.kind != "run":
             return None
         return os.path.join(self.work_dir, "%s.ckpt.json" % spec.job_id)
@@ -96,212 +133,149 @@ class JobExecutor:
         if path is not None and os.path.exists(path):
             os.unlink(path)
 
-    def execute(self, spec, backend, remaining_seconds=None):
-        """Run one attempt of ``spec``; raises on retryable/permanent
-        failures, returns an :class:`AttemptOutcome` otherwise."""
-        budget = self._budget(spec, remaining_seconds)
+    def execute(
+        self,
+        spec,
+        backend,
+        budget=None,
+        checkpoint_path=None,
+        checkpoint_every=None,
+        resume_from=None,
+        edb=None,
+        goal=None,
+        store=None,
+        maintainer=None,
+    ):
+        """Run one attempt of ``spec`` on ``backend`` under ``budget`` (an
+        :class:`~repro.runtime.budget.EvaluationBudget` or ``None``) and
+        return its :class:`AttemptOutcome`.
+
+        ``run`` attempts write a checkpoint to ``checkpoint_path`` every
+        ``checkpoint_every`` rounds and resume from ``resume_from``;
+        ``edb`` stands in for the parsed ``spec.edb`` (an as-of
+        snapshot); a ``goal`` (:class:`~repro.plan.magic.QueryGoal`)
+        makes the attempt goal-directed.  ``maintain`` attempts refresh
+        ``maintainer`` (default: the process-cached one for the spec)
+        over ``store`` (default: the spec's store, opened for the
+        attempt).
+        """
         if spec.kind == "run":
-            return self._run_deductive(spec, backend, budget)
-        if spec.kind == "query":
-            return self._run_query(spec, budget)
-        if spec.kind == "maintain":
-            return self._run_maintain(spec, backend, budget)
-        return self._run_periodic(spec, budget)
+            engine = self._engine(spec, backend, edb)
+            if goal is not None:
+                evaluate = lambda: engine.run_goal_directed(goal, budget=budget)
+            else:
+                evaluate = lambda: (
+                    engine.run(
+                        budget=budget,
+                        checkpoint_every=checkpoint_every,
+                        checkpoint_path=checkpoint_path,
+                        resume_from=resume_from,
+                    ),
+                    None,
+                )
+            result = attempt(backend, evaluate)
+        elif spec.kind == "query":
+            result = self._run_query(spec, backend, budget)
+        elif spec.kind == "maintain":
+            result = self._run_maintain(spec, backend, budget, store, maintainer)
+        else:
+            result = self._run_periodic(spec, budget)
+        result.window = _window(spec, result.model)
+        return result
 
     # -- per-kind attempts ------------------------------------------------
 
-    def _budget(self, spec, remaining_seconds):
-        budget = EvaluationBudget(
-            deadline_seconds=remaining_seconds, max_rounds=spec.max_rounds
-        )
-        return budget if budget.limited() else None
-
-    def _run_deductive(self, spec, backend, budget):
+    def _engine(self, spec, backend, edb=None):
         program = memo.parsed("program", spec.program, parse_program)
-        edb = memo.parsed("edb", spec.edb, parse_database)
-        engine = DeductiveEngine(
+        if edb is None:
+            edb = memo.parsed("edb", spec.edb, parse_database)
+        return DeductiveEngine(
             program,
             edb,
             strategy=spec.strategy,
             patience=spec.patience,
-            on_give_up="partial",
             evaluation=backend,
         )
-        path = self.checkpoint_path(spec)
-        resume_from = path if path is not None and os.path.exists(path) else None
-        run_kwargs = {
-            "budget": budget,
-            "checkpoint_every": CHECKPOINT_EVERY if path else None,
-            "checkpoint_path": path,
-        }
-        try:
-            try:
-                model = engine.run(resume_from=resume_from, **run_kwargs)
-            except CheckpointError:
-                # A corrupt/mismatched checkpoint must not fail the job:
-                # drop it and restart this attempt from round 0.
-                if resume_from is not None and os.path.exists(resume_from):
-                    os.unlink(resume_from)
-                resume_from = None
-                model = engine.run(resume_from=None, **run_kwargs)
-        except BudgetExceededError as error:
-            return self._budget_outcome(spec, backend, error)
-        outcome = "gave-up" if model.stats.gave_up else "ok"
-        return AttemptOutcome(
-            outcome=outcome,
-            backend=backend,
-            model=model,
-            stats=model.stats.to_dict(),
-            resumed=model.stats.resumed_from_round is not None,
-            window=self._model_window(spec, model),
-        )
 
-    def _run_query(self, spec, budget):
+    def _run_query(self, spec, backend, budget):
         db = memo.parsed("edb", spec.edb, parse_database)
-        outcome = "ok"
-        stats = None
-        backend = BACKEND_FO
-        magic_degraded = False
-        if spec.program:
-            from repro.plan.magic import goal_from_formula
-
-            program = memo.parsed("program", spec.program, parse_program)
-            engine = DeductiveEngine(
-                program,
-                db,
-                strategy=spec.strategy,
-                patience=spec.patience,
-                on_give_up="partial",
+        if not spec.program:
+            return attempt(
+                BACKEND_FO,
+                lambda: (evaluate_query(db, spec.query, budget=budget), None),
             )
-            backend = BACKEND_COMPILED
-            try:
-                if spec.goal_directed:
-                    goal, reason = goal_from_formula(
-                        spec.query,
-                        program.intensional_predicates(),
-                        window=spec.window,
-                    )
-                    if goal is None:
-                        model = engine.run(budget=budget)
-                        model.stats.magic_degraded = {"reason": reason}
-                        magic_degraded = True
-                    else:
-                        model, info = engine.run_goal_directed(
-                            goal, budget=budget
-                        )
-                        magic_degraded = bool(info.get("degraded"))
-                else:
-                    model = engine.run(budget=budget)
-            except BudgetExceededError as error:
-                return self._budget_outcome(spec, backend, error)
-            if model.stats.gave_up:
-                outcome = "gave-up"
-            stats = model.stats.to_dict()
-            answers = model.query(spec.query)
-        else:
-            try:
-                answers = evaluate_query(db, spec.query, budget=budget)
-            except BudgetExceededError as error:
-                return self._budget_outcome(spec, BACKEND_FO, error)
-        window = None
-        if spec.window is not None:
-            low, high = spec.window
-            window = {
-                "low": low,
-                "high": high,
-                "tuples": sorted(
-                    [list(flat) for flat in answers.extension(low, high)],
-                    key=typed_sort_key,
-                ),
-            }
-        return AttemptOutcome(
-            outcome=outcome,
-            backend=backend,
-            model=answers,
-            stats=stats,
-            window=window,
-            magic_degraded=magic_degraded,
-        )
+        from repro.plan.magic import goal_from_formula
 
-    def _run_maintain(self, spec, backend, budget):
+        engine = self._engine(spec, backend, db)
+
+        def evaluate():
+            if not spec.goal_directed:
+                return engine.run(budget=budget), None
+            goal, reason = goal_from_formula(
+                spec.query,
+                engine.program.intensional_predicates(),
+                window=spec.window,
+            )
+            if goal is not None:
+                return engine.run_goal_directed(goal, budget=budget)
+            model = engine.run(budget=budget)
+            model.stats.magic_degraded = {"reason": reason}
+            return model, {"degraded": True, "reason": reason}
+
+        result = attempt(backend, evaluate)
+        if result.outcome in ("ok", "gave-up"):
+            result.model = result.model.query(spec.query)
+        return result
+
+    def _run_maintain(self, spec, backend, budget, store, maintainer):
         # Imported here so the service layer stays importable without
         # the edb subsystem loaded for jobs that never use it.
         from repro.edb import MAINTAINERS, EdbStore
 
-        maintainer = MAINTAINERS.get(spec.store, spec.program, evaluation=backend)
-        store = EdbStore(spec.store)
-        try:
-            try:
-                model = maintainer.refresh(store, budget=budget)
-            except BudgetExceededError as error:
-                return self._budget_outcome(spec, backend, error)
-        finally:
-            store.close()
-        outcome = "gave-up" if model.stats.gave_up else "ok"
-        return AttemptOutcome(
-            outcome=outcome,
-            backend=backend,
-            model=model,
-            stats=model.stats.to_dict(),
-            window=self._model_window(spec, model),
-        )
+        if maintainer is None:
+            maintainer = MAINTAINERS.get(spec.store, spec.program, evaluation=backend)
+        if store is None:
+            opened = contextlib.closing(EdbStore(spec.store))
+        else:
+            opened = contextlib.nullcontext(store)
+        with opened as store:
+            return attempt(
+                backend, lambda: (maintainer.refresh(store, budget=budget), None)
+            )
 
     def _run_periodic(self, spec, budget):
         if spec.kind == "datalog1s":
-            program = parse_datalog1s(spec.program)
-            evaluate = minimal_model
+            program, evaluate = parse_datalog1s(spec.program), minimal_model
         else:
-            program = parse_templog(spec.program)
-            evaluate = templog_minimal_model
-        try:
-            model = evaluate(program, budget=budget)
-        except BudgetExceededError as error:
-            return self._budget_outcome(spec, BACKEND_CLOSED_FORM, error)
-        return AttemptOutcome(
-            outcome="ok",
-            backend=BACKEND_CLOSED_FORM,
-            model=model,
+            program, evaluate = parse_templog(spec.program), templog_minimal_model
+        return attempt(
+            BACKEND_CLOSED_FORM, lambda: (evaluate(program, budget=budget), None)
         )
 
-    # -- shared shapes ----------------------------------------------------
 
-    def _budget_outcome(self, spec, backend, error):
-        """Deadline rung of the degradation ladder: the typed partial
-        model the evaluation carried out of the budget trip."""
-        model = error.partial_model
-        stats = getattr(error, "stats", None)
-        if stats is not None and hasattr(stats, "to_dict"):
-            stats = stats.to_dict()
-        resumed = False
-        if isinstance(stats, dict):
-            resumed = stats.get("resumed_from_round") is not None
-        return AttemptOutcome(
-            outcome="budget-exceeded",
-            backend=backend,
-            model=model,
-            stats=stats,
-            error=error,
-            resumed=resumed,
-            window=self._model_window(spec, model),
-        )
+def _rows(flats):
+    return sorted([list(flat) for flat in flats], key=typed_sort_key)
 
-    def _model_window(self, spec, model):
-        if spec.window is None or model is None or not hasattr(model, "extension"):
-            return None
-        low, high = spec.window
-        window = {"low": low, "high": high, "predicates": {}}
-        try:
-            for name in model.predicates():
-                window["predicates"][name] = sorted(
-                    [list(flat) for flat in model.extension(name, low, high)],
-                    key=typed_sort_key,
-                )
-        except (SchemaError, AttributeError, KeyError, TypeError):
-            # Windowing is a best-effort decoration of the outcome: a
-            # partial model missing a predicate or carrying an
-            # unexpected shape must not fail the attempt.  Anything
-            # else — WalCorruptError, injected faults — propagates so
-            # the pool's classifier (and the chaos tests watching it)
-            # sees the typed error with its cause chain intact.
-            return None
-        return window
+
+def _window(spec, model):
+    """The ground rows of ``model`` within the job's window: the
+    answers' tuples, or each predicate's tuples of a deductive model."""
+    if spec.window is None or not hasattr(model, "extension"):
+        return None
+    low, high = spec.window
+    if not hasattr(model, "predicates"):
+        return {"low": low, "high": high, "tuples": _rows(model.extension(low, high))}
+    try:
+        predicates = {
+            name: _rows(model.extension(name, low, high))
+            for name in model.predicates()
+        }
+    except (SchemaError, AttributeError, KeyError, TypeError):
+        # Windowing is a best-effort decoration of the outcome: a
+        # partial model missing a predicate or carrying an
+        # unexpected shape must not fail the attempt.  Anything
+        # else — WalCorruptError, injected faults — propagates so
+        # the pool's classifier (and the chaos tests watching it)
+        # sees the typed error with its cause chain intact.
+        return None
+    return {"low": low, "high": high, "predicates": predicates}

@@ -92,9 +92,16 @@ class JobSpec:
     def from_json_dict(cls, payload, default_id=None):
         """Build a spec from a JSON job object (the ``repro batch``
         input format).  ``id`` defaults to ``default_id`` so JSONL
-        files may omit it."""
+        files may omit it.  A key the spec does not know, or a value of
+        the wrong type, raises :class:`ValueError` naming the key: a
+        misspelled limit must not run as a job without that limit."""
         if not isinstance(payload, dict):
             raise ValueError("job must be a JSON object")
+        for key, value in payload.items():
+            if key not in JSON_TYPES:
+                raise ValueError("unknown job key %r" % key)
+            if not JSON_TYPES[key](value):
+                raise ValueError("job key %r has an invalid value %r" % (key, value))
         window = payload.get("window")
         return cls(
             job_id=str(payload.get("id", default_id or "")),
@@ -107,9 +114,32 @@ class JobSpec:
             max_rounds=payload.get("max_rounds"),
             patience=payload.get("patience", 10),
             strategy=payload.get("strategy", "semi-naive"),
-            window=None if window is None else (int(window[0]), int(window[1])),
-            goal_directed=bool(payload.get("goal_directed", False)),
+            window=None if window is None else tuple(window),
+            goal_directed=payload.get("goal_directed", False),
         )
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The keys of a JSON job object, each with the check its value must pass.
+JSON_TYPES = {
+    "id": lambda value: True,
+    "kind": lambda value: isinstance(value, str),
+    "program": lambda value: isinstance(value, str),
+    "edb": lambda value: isinstance(value, str),
+    "query": lambda value: isinstance(value, str),
+    "store": lambda value: isinstance(value, str),
+    "deadline_seconds": lambda value: value is None
+    or (isinstance(value, (int, float)) and not isinstance(value, bool)),
+    "max_rounds": lambda value: value is None or _is_int(value),
+    "patience": _is_int,
+    "strategy": lambda value: value in ("naive", "semi-naive"),
+    "window": lambda value: value is None
+    or (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))),
+    "goal_directed": lambda value: isinstance(value, bool),
+}
 
 
 @dataclass

@@ -52,6 +52,7 @@ import time
 
 from repro.obs.metrics import MetricsRegistry
 from repro.plan import memo
+from repro.runtime.budget import EvaluationBudget
 from repro.runtime.report import error_summary
 from repro.service.breaker import CircuitBreaker
 from repro.service.executor import (
@@ -68,6 +69,7 @@ from repro.service.jobs import (
 )
 from repro.service.retry import RetryPolicy, is_transient
 from repro.util.errors import (
+    CheckpointError,
     CircuitOpenError,
     EvaluationError,
     OverloadedError,
@@ -92,8 +94,14 @@ SERVICE_BUCKETS = (
 #: declared hung).
 HANG_GRACE = 1.0
 
-#: Seconds the supervisor sleeps between checks of the workers.
+#: Seconds between the supervisor's checks while the pool drains on
+#: close; otherwise it waits for the next deadline, a submit, a close
+#: or a worker exit.
 SUPERVISE_INTERVAL = 0.02
+
+#: A ``run`` attempt checkpoints after every round, so a retry loses
+#: at most one round of work.
+CHECKPOINT_EVERY = 1
 
 #: Replacement workers one service starts over its lifetime.
 MAX_WORKER_RESTARTS = 32
@@ -369,7 +377,9 @@ class QueryService:
                     )
                 self._queue.append(job)
                 depth = len(self._queue)
-                self._cond.notify()
+                # Every idle worker re-checks: one the job excludes
+                # must not swallow the only wake-up.
+                self._cond.notify_all()
         except ReproError as error:
             if isinstance(error, OverloadedError):
                 self._count_rejection(spec, "overloaded", "shed")
@@ -551,35 +561,49 @@ class QueryService:
     # -- the worker loop --------------------------------------------------
 
     def _worker_main(self, worker):
-        while True:
-            job = self._next_job(worker)
-            if job is None:
-                return
-            if not self._claim(job, worker):
-                continue
-            try:
-                self._process(job, worker)
-            except WorkerDiedError as death:
-                # This worker is gone: hand the job back (excluding
-                # ourselves) and stop the loop; the supervisor restarts.
-                worker.dead = True
-                self._release(job, worker)
-                self._handle_worker_death(job, worker, death)
-                return
-            finally:
-                self._release(job, worker)
-                if worker.abandoned:
+        try:
+            while True:
+                job = self._next_job(worker)
+                if job is None:
                     return
+                if not self._claim(job, worker):
+                    continue
+                try:
+                    self._process(job, worker)
+                except WorkerDiedError as death:
+                    # This worker is gone: hand the job back (excluding
+                    # ourselves) and stop the loop; the supervisor
+                    # restarts it.
+                    worker.dead = True
+                    self._release(job, worker)
+                    self._handle_worker_death(job, worker, death)
+                    return
+                finally:
+                    self._release(job, worker)
+                    if worker.abandoned:
+                        return
+        finally:
+            # Wake the supervisor: an exit before close is a death it
+            # must see without polling for it.
+            with self._cond:
+                if not self._stopping:
+                    worker.dead = True
+                self._cond.notify_all()
 
     def _next_job(self, worker):
         with self._cond:
             while True:
                 job = self._pop_runnable(worker)
                 if job is not None:
+                    # Held from the pop on, so the supervisor's next
+                    # deadline always counts the job (queued or held).
+                    worker.current_job = job
                     return job
                 if self._stopping and not self._queue:
                     return None
-                self._cond.wait(timeout=0.05)
+                # Idle workers sleep until a submit, requeue or close;
+                # while draining they re-check for the queue to empty.
+                self._cond.wait(SUPERVISE_INTERVAL if self._stopping else None)
 
     def _pop_runnable(self, worker):
         """The first queued job this worker is not excluded from."""
@@ -594,9 +618,9 @@ class QueryService:
     def _claim(self, job, worker):
         with job.lock:
             if job.handle.done():
+                worker.current_job = None
                 return False
             job.owner = worker
-        worker.current_job = job
         worker.started_at = self._clock()
         job.started_at = worker.started_at
         if not job.first_claim_done:
@@ -680,9 +704,11 @@ class QueryService:
                 self._finish_deadline(job, worker, outcome_error=None)
                 return
             try:
-                outcome = self.executor.execute(
-                    job.spec, job.backend, remaining_seconds=remaining
-                )
+                outcome = self._attempt(job, remaining)
+                if outcome.outcome == "aborted":
+                    # An abort is a failure to classify (retry, degrade
+                    # or fail), not a partial result.
+                    raise outcome.error
                 fault_point("result_return")
             except WorkerDiedError:
                 raise
@@ -700,6 +726,32 @@ class QueryService:
                 return
             self._finish_outcome(job, worker, outcome)
             return
+
+    def _attempt(self, job, remaining):
+        """One attempt under the job's remaining time and round cap.  A
+        ``run`` job checkpoints every round into the work directory and
+        resumes from its last checkpoint; a corrupt or mismatched one
+        must not fail the job, so it is dropped and the attempt restarts
+        from round 0."""
+        spec = job.spec
+        budget = EvaluationBudget(
+            deadline_seconds=remaining, max_rounds=spec.max_rounds
+        )
+        path = self.executor.checkpoint_path(spec)
+        kwargs = {
+            "budget": budget if budget.limited() else None,
+            "checkpoint_path": path,
+            "checkpoint_every": CHECKPOINT_EVERY if path else None,
+        }
+        resume = path if path is not None and os.path.exists(path) else None
+        try:
+            return self.executor.execute(spec, job.backend, resume_from=resume, **kwargs)
+        except CheckpointError:
+            if resume is None:
+                raise
+            if os.path.exists(resume):
+                os.unlink(resume)
+            return self.executor.execute(spec, job.backend, **kwargs)
 
     def _bounded_delay(self, job):
         """The backoff before this job's next attempt, capped so the
@@ -795,7 +847,7 @@ class QueryService:
 
     def _finish_outcome(self, job, worker, outcome):
         job.resumed = job.resumed or outcome.resumed
-        if getattr(outcome, "magic_degraded", False):
+        if outcome.magic is not None and outcome.magic.get("degraded"):
             # A goal-directed query fell back to the full fixpoint —
             # exact (indeed larger) result, so the state is untouched;
             # only the ladder records the "magic → full" rung.
@@ -885,7 +937,9 @@ class QueryService:
         self._count("requeues")
         with self._cond:
             self._queue.appendleft(job)
-            self._cond.notify()
+            # The job excludes the worker that lost it: wake every idle
+            # worker so one it allows takes it.
+            self._cond.notify_all()
 
     # -- supervision ------------------------------------------------------
 
@@ -899,9 +953,27 @@ class QueryService:
                     )
                     if not alive_busy:
                         return
+                if not any(
+                    worker.dead and not worker.abandoned for worker in self._workers
+                ):
+                    self._cond.wait(self._supervise_timeout())
             self._check_workers()
             self._expire_queued_jobs()
-            time.sleep(SUPERVISE_INTERVAL)
+
+    def _supervise_timeout(self):
+        """Seconds until the supervisor must next act on its own (called
+        under ``_cond``): the earliest queued job's deadline or running
+        job's deadline plus :data:`HANG_GRACE`, and a short interval
+        while draining on close; ``None`` when nothing is due."""
+        due = [job.deadline_at for job in self._queue if job.deadline_at is not None]
+        for worker in self._workers:
+            job = worker.current_job
+            if job is not None and job.deadline_at is not None:
+                due.append(job.deadline_at + HANG_GRACE)
+        timeout = None if not due else max(0.0, min(due) - self._clock())
+        if self._stopping:
+            timeout = SUPERVISE_INTERVAL if timeout is None else min(timeout, SUPERVISE_INTERVAL)
+        return timeout
 
     def _check_workers(self):
         with self._cond:

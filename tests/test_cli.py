@@ -908,3 +908,87 @@ class TestServeShutdown:
         # The submitted job was drained: its result line was written.
         lines = [json.loads(line) for line in stdout.splitlines() if line]
         assert any(r.get("job_id") == "j1" and r["state"] == "ok" for r in lines)
+
+
+class TestOneFrontDoor:
+    """Every evaluating command reports give-up, budget and abort
+    through the executor's outcome, with the exit code taken from it."""
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_query_program_give_up_exits_3(self, files, capsys, as_json):
+        argv = ["query", files["edb.gdb"], "p(t)", "--program", files["diverge.dtl"]]
+        code, output = run_cli(argv + (["--json"] if as_json else []))
+        assert code == 3
+        if as_json:
+            report = json.loads(output)
+            assert (report["outcome"], report["exit_code"]) == ("gave-up", 3)
+            assert report["error"]["type"] == "GiveUpError"
+            assert "T1 = 5" in report["relation"]
+        else:
+            assert "T1 = 5" in output
+            assert capsys.readouterr().err.startswith("gave-up: ")
+
+    def test_txn_maintain_budget_reports_receipts_and_partial_model(self, txn_files):
+        code, output = run_cli(
+            ["txn", "apply", txn_files["store"], txn_files["multi.json"],
+             "--maintain", txn_files["program"], "--max-rounds", "1", "--json"]
+        )
+        assert code == 4
+        report = json.loads(output)
+        assert (report["outcome"], report["exit_code"]) == ("budget-exceeded", 4)
+        assert [receipt["tx"] for receipt in report["receipts"]] == [1]
+        assert report["error"]["limit"] == "max_rounds"
+        assert report["model"]["predicates"]["problems"]["generalized_tuples"] >= 1
+        # The transaction committed even though the refresh stopped.
+        code, log = run_cli(["txn", "log", txn_files["store"]])
+        assert "head tx: 1" in log
+
+    def test_asof_abort_is_a_json_report(self, txn_files):
+        from repro.runtime.faults import FaultPlan
+
+        run_cli(["txn", "apply", txn_files["store"], txn_files["seed.json"]])
+        with FaultPlan.inject("clause", at=3).installed():
+            code, output = run_cli(
+                ["asof", txn_files["store"], "--program", txn_files["program"], "--json"]
+            )
+        assert code == 1
+        report = json.loads(output)
+        assert (report["outcome"], report["exit_code"]) == ("aborted", 1)
+        assert report["error"]["cause"]["type"] == "InjectedFaultError"
+        assert report["model"] is not None
+
+
+MALFORMED_JOBS = [
+    {"kind": "run", "window": 5},
+    {"kind": "run", "window": [1]},
+    {"kind": "run", "patience": "x"},
+    {"kind": "run", "deadline_second": 5},
+    [1, 2],
+]
+
+
+class TestMalformedJobs:
+    @pytest.mark.parametrize("job", MALFORMED_JOBS)
+    def test_batch_is_a_usage_error(self, tmp_path, capsys, job):
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps([job]))
+        code, _ = run_cli(["batch", str(path), "--workers", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: job 1: ")
+        assert "Traceback" not in err
+
+    def test_serve_rejects_each_and_keeps_serving(self, files, tmp_path):
+        good = {
+            "id": "good", "kind": "run",
+            "program_file": files["program.dtl"], "edb_file": files["edb.gdb"],
+        }
+        stream = tmp_path / "input.jsonl"
+        stream.write_text(
+            "\n".join(json.dumps(job) for job in MALFORMED_JOBS + [good]) + "\n"
+        )
+        code, output = run_cli(["serve", "--input", str(stream), "--workers", "1"])
+        assert code == 1
+        reports = [json.loads(line) for line in output.splitlines()]
+        assert [r["state"] for r in reports] == ["rejected"] * 5 + ["ok"]
+        assert all(r["error"]["type"] == "ValueError" for r in reports[:5])

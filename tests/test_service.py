@@ -80,11 +80,29 @@ class TestSpecs:
         assert spec.deadline_seconds == 5
         assert spec.window == (0, 60)
 
-    def test_from_json_dict_ignores_unknown_keys(self):
-        payload = {"id": "j", "kind": "run", "program": PROGRAM, "edb": EDB}
-        assert JobSpec.from_json_dict(
-            dict(payload, workers=4, colour="blue")
-        ) == JobSpec.from_json_dict(payload)
+    @pytest.mark.parametrize("key", ["deadline_second", "max_round", "parallelism"])
+    def test_from_json_dict_rejects_unknown_keys(self, key):
+        payload = {"id": "j", "kind": "run", "program": PROGRAM, "edb": EDB, key: 5}
+        with pytest.raises(ValueError, match=key):
+            JobSpec.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("window", 5),
+            ("window", [1]),
+            ("window", [0, "60"]),
+            ("patience", "x"),
+            ("max_rounds", 2.5),
+            ("deadline_seconds", "5"),
+            ("strategy", "fast"),
+            ("goal_directed", "yes"),
+            ("program", 3),
+        ],
+    )
+    def test_from_json_dict_rejects_invalid_values(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            JobSpec.from_json_dict({"kind": "run", key: value}, default_id="j")
 
     def test_result_report_fields(self):
         with service() as svc:
@@ -345,6 +363,37 @@ class TestCircuitBreaker:
         assert "circuit-open" in (results[0].outcome, results[1].outcome) or (
             results[1].outcome in ("circuit-open", "overloaded")
         )
+
+
+class TestIdleService:
+    def test_idle_supervisor_does_not_poll(self, monkeypatch):
+        import time
+
+        checks = []
+        original = QueryService._check_workers
+
+        def counted(svc):
+            checks.append(time.monotonic())
+            return original(svc)
+
+        monkeypatch.setattr(QueryService, "_check_workers", counted)
+        with service(workers=2) as svc:
+            time.sleep(0.3)
+            assert len(checks) <= 1
+            # A job still runs, and the service still closes promptly.
+            assert svc.run_batch([run_spec()])[0].state == "ok"
+
+    def test_gave_up_job_reports_the_reason(self):
+        spec = JobSpec(
+            "g", "run", program="p(t) <- seed(t).\np(t + 5) <- p(t).\n",
+            edb="relation seed[1; 0] { (n) where T1 = 0; }", patience=3,
+        )
+        with service() as svc:
+            result = svc.run_batch([spec])[0]
+        assert (result.state, result.outcome) == ("partial", "gave-up")
+        assert result.error["type"] == "GiveUpError"
+        assert "constraint safety" in result.error["message"]
+        assert result.model is not None
 
 
 class TestObservability:
