@@ -1,4 +1,4 @@
-"""Shared workload generators for the experiment suite (E1–E10).
+"""Shared workload generators for the experiment suite (E1–E14).
 
 Each experiment in EXPERIMENTS.md draws its inputs from here so that
 the benchmark numbers and the recorded tables come from the same

@@ -568,8 +568,3 @@ def canonicalize_batch(zones):
             distinct[pre] = cached
         out[index] = cached
     return out
-
-
-def intern_cache_stats():
-    """Size of the process-level DBM interning table (for tests)."""
-    return {"entries": len(CONSTRAINT_TABLE), "cap": CONSTRAINT_TABLE.cap}

@@ -9,7 +9,7 @@ exposes exactly the operations the generalized-database algebra needs.
 from __future__ import annotations
 
 from repro.constraints.atoms import Comparison, TemporalTerm, parse_constraint_text
-from repro.constraints.dbm import CONSTRAINT_TABLE, Dbm, INF, intern_dbm
+from repro.constraints.dbm import CONSTRAINT_TABLE, Dbm, intern_dbm
 
 
 class ConstraintSystem:
@@ -278,10 +278,3 @@ class ConstraintSystem:
 
     def __repr__(self):
         return "ConstraintSystem(%d, %s)" % (self.arity, str(self))
-
-
-def interval_is_bounded(interval):
-    """True when an interval from :meth:`difference_interval` is finite
-    on both sides."""
-    lo, hi = interval
-    return lo != -INF and hi != INF

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,13 +269,19 @@ class MaterializedModel:
         return surviving
 
 
+#: Maintained models a :class:`MaintainerCache` keeps.
+MAINTAINER_CAP = 32
+
+
 class MaintainerCache:
     """Process-level registry of maintained models for the service.
 
     Keyed by ``(store_root, program text, strategy, safety,
     evaluation)`` so concurrent maintenance jobs for the same program
     share one materialization; the per-model lock in
-    :class:`MaterializedModel` serializes refreshes.  ``invalidate``
+    :class:`MaterializedModel` serializes refreshes.  At most
+    :data:`MAINTAINER_CAP` entries are kept, the oldest evicted first
+    (a later job for an evicted key materializes afresh).  ``invalidate``
     drops entries for a store root (e.g. after an out-of-band rewrite
     of the directory); ordinary commits need no invalidation call —
     refresh compares transaction ids and catches up by itself.
@@ -282,7 +289,7 @@ class MaintainerCache:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._entries = {}
+        self._entries = OrderedDict()
 
     def get(self, root, program_text, **kwargs):
         key = (
@@ -297,6 +304,8 @@ class MaintainerCache:
             if entry is None:
                 entry = MaterializedModel(program_text, **kwargs)
                 self._entries[key] = entry
+                while len(self._entries) > MAINTAINER_CAP:
+                    self._entries.popitem(last=False)
             return entry
 
     def invalidate(self, root=None):

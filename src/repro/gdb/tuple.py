@@ -78,15 +78,6 @@ def signature_id(signature):
     return _intern(_SIG_IDS, signature)
 
 
-def intern_id_stats():
-    """Sizes of the tuple-layer interning tables (for tests)."""
-    return {
-        "lrp_vectors": len(_LRP_IDS),
-        "signatures": len(_SIG_IDS),
-        "cap": _ID_CAP,
-    }
-
-
 @dataclass(frozen=True)
 class AlignedTuple:
     """A generalized tuple whose columns share one period ``L`` and

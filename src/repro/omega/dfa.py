@@ -79,18 +79,6 @@ class Dfa:
                         % (state, symbol)
                     )
 
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_table(cls, alphabet, table, initial, accepting):
-        """Build from ``{state: {symbol: target}}``."""
-        delta = {
-            (state, symbol): target
-            for state, row in table.items()
-            for symbol, target in row.items()
-        }
-        return cls(table.keys(), alphabet, delta, initial, accepting)
-
     # -- runs -------------------------------------------------------------
 
     def run(self, word, start=None):

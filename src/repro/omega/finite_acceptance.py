@@ -17,7 +17,6 @@ is decidable by a reachability analysis, implemented here in
 from __future__ import annotations
 
 from repro.omega.buchi import BuchiAutomaton
-from repro.omega.dfa import Nfa
 
 
 class FiniteAcceptanceAutomaton:
@@ -26,11 +25,6 @@ class FiniteAcceptanceAutomaton:
 
     def __init__(self, nfa):
         self.nfa = nfa
-
-    @classmethod
-    def from_parts(cls, states, alphabet, transitions, initial, accepting):
-        """Convenience constructor mirroring :class:`Nfa`."""
-        return cls(Nfa(states, alphabet, transitions, initial, accepting))
 
     @property
     def alphabet(self):

@@ -67,7 +67,7 @@ from repro.lrp.point import Lrp
 from repro.plan import memo
 from repro.plan.compiler import DEMAND_PREFIX
 from repro.util import hooks
-from repro.util.errors import EvaluationError, SchemaError
+from repro.util.errors import EvaluationError, PartialResultError, SchemaError
 
 #: Convex-hull merges per demand key tolerated before widening starts
 #: dropping the bounds that keep growing.  Small: a genuinely bounded
@@ -755,18 +755,26 @@ def goal_directed_model(
     try:
         rewrite = cached_rewrite(program, goal, widen_delay=widen_delay)
     except MagicUnsupportedError as error:
+        info = {"goal": str(goal), "degraded": True, "reason": str(error)}
         engine = DeductiveEngine(program, edb, **engine_kwargs)
-        model = engine.run(budget=budget)
+        model = run_reporting(engine, info, budget)
         model.stats.magic_degraded = {"reason": str(error), "goal": str(goal)}
-        return model, {
-            "goal": str(goal),
-            "degraded": True,
-            "reason": str(error),
-        }
+        return model, info
+    info = rewrite.info()
+    info["degraded"] = False
     engine = DeductiveEngine(
         rewrite.program, rewrite.augmented_edb(edb), **engine_kwargs
     )
-    model = engine.run(budget=budget)
-    info = rewrite.info()
-    info["degraded"] = False
-    return model, info
+    return run_reporting(engine, info, budget), info
+
+
+def run_reporting(engine, info, budget=None):
+    """``engine.run(budget=budget)``; if the run stops early, the raised
+    :class:`~repro.util.errors.PartialResultError` carries ``info`` as
+    its ``magic``, so a stopped goal-directed run still reports its
+    rewrite."""
+    try:
+        return engine.run(budget=budget)
+    except PartialResultError as stopped:
+        stopped.magic = info
+        raise

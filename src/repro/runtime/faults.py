@@ -285,13 +285,6 @@ class FaultPlan:
         )
         return self
 
-    def and_delay(self, site, at=1, seconds=0.0, repeat=False):
-        """This plan plus one more delay spec (builder style)."""
-        self.specs.append(
-            FaultSpec(site, at=at, raises=False, delay_seconds=seconds, repeat=repeat)
-        )
-        return self
-
     # -- the hook ---------------------------------------------------------
 
     def __call__(self, site):

@@ -93,14 +93,15 @@ def attempt(backend, evaluate):
 
     This is the one place where a :class:`GiveUpError`,
     :class:`BudgetExceededError` or :class:`EvaluationAbortedError`
-    becomes an outcome, carrying the partial model and the statistics
-    the error holds.  Any other exception propagates.
+    becomes an outcome, carrying the partial model, the statistics and
+    the goal-directed rewrite summary the error holds.  Any other
+    exception propagates.
     """
     error = magic = None
     try:
         model, magic = evaluate()
     except tuple(EARLY_EXITS) as stopped:
-        error, model = stopped, stopped.partial_model
+        error, model, magic = stopped, stopped.partial_model, stopped.magic
     stats = getattr(model if error is None else error, "stats", None)
     return AttemptOutcome(
         outcome="ok" if error is None else EARLY_EXITS[type(error)],
@@ -204,7 +205,7 @@ class JobExecutor:
                 BACKEND_FO,
                 lambda: (evaluate_query(db, spec.query, budget=budget), None),
             )
-        from repro.plan.magic import goal_from_formula
+        from repro.plan.magic import goal_from_formula, run_reporting
 
         engine = self._engine(spec, backend, db)
 
@@ -218,9 +219,10 @@ class JobExecutor:
             )
             if goal is not None:
                 return engine.run_goal_directed(goal, budget=budget)
-            model = engine.run(budget=budget)
+            info = {"degraded": True, "reason": reason}
+            model = run_reporting(engine, info, budget)
             model.stats.magic_degraded = {"reason": reason}
-            return model, {"degraded": True, "reason": reason}
+            return model, info
 
         result = attempt(backend, evaluate)
         if result.outcome in ("ok", "gave-up"):

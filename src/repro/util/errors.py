@@ -56,8 +56,12 @@ class PartialResultError(EvaluationError):
     built); ``stats`` the bookkeeping accumulated so far.  The partial
     model is monotonically below the intended model (bottom-up
     evaluation only ever adds tuples), so every answer it gives is
-    sound — it may merely be incomplete.
+    sound — it may merely be incomplete.  ``magic`` is the rewrite
+    summary of a goal-directed evaluation that stopped early
+    (:func:`repro.plan.magic.goal_directed_model`), else ``None``.
     """
+
+    magic = None
 
     def __init__(self, message, partial_model=None, stats=None):
         super().__init__(message)

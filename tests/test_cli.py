@@ -928,6 +928,20 @@ class TestOneFrontDoor:
             assert "T1 = 5" in output
             assert capsys.readouterr().err.startswith("gave-up: ")
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_goal_directed_give_up_reports_its_rewrite(self, files, as_json):
+        argv = ["query", files["edb.gdb"], "p(t)", "--program", files["diverge.dtl"],
+                "--goal-directed"]
+        code, output = run_cli(argv + (["--json"] if as_json else []))
+        assert code == 3
+        if as_json:
+            report = json.loads(output)
+            assert report["outcome"] == "gave-up"
+            assert report["magic"]["goal"] == "p"
+            assert report["magic"]["degraded"] is False
+        else:
+            assert "% goal-directed: p (dropped 0 clauses" in output
+
     def test_txn_maintain_budget_reports_receipts_and_partial_model(self, txn_files):
         code, output = run_cli(
             ["txn", "apply", txn_files["store"], txn_files["multi.json"],

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import DeductiveEngine, parse_program
 from repro.edb import MAINTAINERS, EdbStore, MaintainerCache, MaterializedModel
+from repro.edb import maintain
 from repro.gdb.parser import parse_generalized_tuple
 from repro.runtime.faults import FaultPlan, InjectedFaultError
 from repro.util import hooks
@@ -45,6 +46,12 @@ def assert_course(text):
 
 def retract_course(text):
     return {"op": "retract", "relation": "course", "tuple": gt(text)}
+
+
+def stream_course(index):
+    """The ``index``-th course of a stream of distinct courses."""
+    offset = 7 * (index % 23)
+    return '(168n+%d, 168n+%d; "c%d") where T2 = T1 + 2' % (offset, offset + 2, index)
 
 
 def scratch_model(store, tx=None, program=PROGRAM):
@@ -111,6 +118,35 @@ class TestInsertMaintenance:
         assert model is first
         assert maintained.last_report.rounds == 0
         assert maintained.tx == store.head_tx
+
+
+class TestMaintainAgainstRecompute:
+    def test_insert_refreshes_derive_less_than_scratch_runs(self, tmp_path):
+        # A stream of single-course commits: every refreshed model
+        # equals a from-scratch run of its snapshot, and the inserts'
+        # warm refreshes together derive fewer tuples than those runs.
+        # Work counts, not wall clock: the timed claim is perfbench's
+        # txn_fresh workload.
+        store = EdbStore(str(tmp_path / "store"))
+        try:
+            store.apply([declare_course(), assert_course(stream_course(0))])
+            maintained = MaterializedModel(PROGRAM)
+            maintained.refresh(store)
+            refresh_work = scratch_work = 0
+            for index in range(1, 9):
+                store.apply([assert_course(stream_course(index))])
+                model = maintained.refresh(store)
+                assert maintained.last_report.recomputed is False
+                scratch = scratch_model(store)
+                assert model.equivalent(scratch)
+                refresh_work += sum(model.stats.derived_tuples_per_round)
+                scratch_work += sum(scratch.stats.derived_tuples_per_round)
+            for index in (1, 2):
+                store.apply([retract_course(stream_course(index))])
+                assert maintained.refresh(store).equivalent(scratch_model(store))
+        finally:
+            store.close()
+        assert refresh_work < scratch_work, (refresh_work, scratch_work)
 
 
 class TestRetractionMaintenance:
@@ -243,6 +279,17 @@ class TestMaintainerCache:
         assert cache.get("/y", PROGRAM) is not a
         assert cache.get("/x", NEGATION) is not a
         assert len(cache) == 3
+
+    def test_oldest_entry_evicted_past_cap(self, monkeypatch):
+        monkeypatch.setattr(maintain, "MAINTAINER_CAP", 2)
+        cache = MaintainerCache()
+        oldest = cache.get("/x", PROGRAM)
+        newer = cache.get("/y", PROGRAM)
+        assert cache.get("/y", PROGRAM) is newer
+        cache.get("/z", PROGRAM)
+        assert len(cache) == 2
+        assert cache.get("/y", PROGRAM) is newer
+        assert cache.get("/x", PROGRAM) is not oldest
 
     def test_invalidate_by_root(self):
         cache = MaintainerCache()

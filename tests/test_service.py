@@ -167,6 +167,20 @@ class TestAdmission:
         assert results[1].state == "ok"
 
 
+class TestHealthyBatch:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_twelve_job_batch_is_fully_ok(self, workers, baseline_model):
+        # With no fault plan installed every job of a batch ends ok,
+        # whatever the worker count; the faulted batch is
+        # test_service_stress.py's fifty-job test.
+        specs = [run_spec("batch-%02d" % index) for index in range(12)]
+        with service(workers=workers, queue_limit=len(specs)) as svc:
+            results = svc.run_batch(specs, timeout=300.0)
+        assert [result.job_id for result in results] == [s.job_id for s in specs]
+        assert [result.state for result in results] == ["ok"] * len(specs)
+        assert all(result.model.equivalent(baseline_model) for result in results)
+
+
 class TestDeadlines:
     def test_expired_job_degrades_to_typed_partial(self):
         with service() as svc:
@@ -274,6 +288,25 @@ class TestDegradationLadder:
         assert result.backend == "reference"
         assert "reference-backend" in result.degradation
         assert result.model.equivalent(baseline_model)
+
+    def test_stopped_goal_directed_query_keeps_magic_rung(self):
+        # The formula's two reads of p defeat the rewrite, so the job
+        # runs the full fixpoint, which gives up: the job is partial and
+        # still records the "magic -> full" rung.
+        spec = JobSpec(
+            "stopped",
+            "query",
+            program="p(t) <- seed(t).\np(t + 5) <- p(t).",
+            edb="relation seed[1; 0] { (n) where T1 = 0; }",
+            query="p(t) and not p(t + 1)",
+            goal_directed=True,
+        )
+        with service() as svc:
+            result = svc.run_batch([spec])[0]
+            degraded = svc.stats()["jobs"]["degraded_magic"]
+        assert (result.state, result.outcome) == ("partial", "gave-up")
+        assert "magic-full" in result.degradation
+        assert degraded == 1
 
     def test_parse_error_fails_fast_without_degrading(self):
         spec = JobSpec("bad", "run", program="this is not a program", edb=EDB)
