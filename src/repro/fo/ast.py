@@ -130,6 +130,19 @@ def free_variables(formula):
     return tuple(temporal), tuple(data)
 
 
+def data_constants(formula):
+    """The data constants the formula's atoms mention."""
+    if isinstance(formula, FoAtom):
+        return {
+            term.value for term in formula.atom.data_args if not term.is_variable()
+        }
+    if isinstance(formula, (FoAnd, FoOr)):
+        return set().union(*(data_constants(part) for part in formula.parts))
+    if isinstance(formula, (FoNot, FoExists, FoForAll)):
+        return data_constants(formula.sub)
+    return set()
+
+
 # -- parser -------------------------------------------------------------
 
 

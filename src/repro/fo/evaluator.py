@@ -2,15 +2,19 @@
 
 Every sub-formula evaluates to an :class:`Answers` value: a
 generalized relation whose temporal columns are the formula's free
-temporal variables and whose data columns are its free data variables
-(in fixed order).  Connectives map to algebra operations:
+temporal variables and whose data columns are its free data variables,
+both in first-appearance order (:func:`~repro.fo.ast.free_variables`).
+Connectives map to algebra operations:
 
-* conjunction — greedy multi-way join through the shared plan layer
-  (:mod:`repro.plan.joiner`): smallest conjunct first, then most
-  shared columns, each pairwise join a fused hash join;
-* disjunction — union after widening both sides to the common
-  variable set (unconstrained temporal columns, active-domain data
-  columns);
+* conjunction — one compiled clause (:class:`repro.plan.ClausePlan`,
+  the deductive engine's own join path).  Atoms and comparisons enter
+  the clause body as written; every other conjunct is evaluated first
+  and enters as an atom over its answers.  The head lists the free
+  variables.  A lone atom or comparison is a one-conjunct clause;
+* disjunction — union of one such clause per disjunct, each widened
+  to the common variable set: a missing temporal variable is an
+  unconstrained carrier column, a missing data variable joins an
+  active-domain atom;
 * negation — exact complement relative to ``ℤ^m × AD^l``;
 * ``exists`` — projection; ``forall`` — ``¬∃¬``.
 
@@ -27,7 +31,8 @@ import time
 
 from dataclasses import dataclass
 
-from repro.constraints.atoms import Comparison, TemporalTerm as ColumnTerm
+from repro.core.ast import Clause, DataTerm, PredicateAtom, TemporalTerm
+from repro.core.transform import normalize_clause
 from repro.fo.ast import (
     FoAnd,
     FoAtom,
@@ -36,13 +41,13 @@ from repro.fo.ast import (
     FoForAll,
     FoNot,
     FoOr,
+    data_constants,
     free_variables,
     parse_formula,
 )
 from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.tuple import GeneralizedTuple
-from repro.lrp.point import Lrp
-from repro.plan.joiner import NamedRelation, join_all
+from repro.plan.compiler import ClausePlan
 from repro.util import hooks
 from repro.util.errors import BudgetExceededError, EvaluationError
 from repro.util.sorting import typed_sort_key
@@ -95,7 +100,9 @@ def evaluate_query(db, query, extra_relations=None, budget=None):
     not a fixpoint, so no partial model is attached)."""
     formula = parse_formula(query) if isinstance(query, str) else query
     meter = budget.start() if budget is not None else None
-    context = _Context(db, extra_relations or {}, meter=meter)
+    context = _Context(
+        db, extra_relations or {}, data_constants(formula), meter=meter
+    )
     if not hooks.SINKS:
         return context.evaluate(formula)
     started = time.perf_counter()
@@ -128,17 +135,24 @@ def evaluate_query(db, query, extra_relations=None, budget=None):
         )
 
 
+#: Predicate names in a compiled conjunction other than the database's:
+#: an evaluated conjunct's answers, the active domain, and the head.
+#: No parser produces a name starting with ``%``, so these can never
+#: shadow a relation.
+_PART = "%%part%d"
+_DOMAIN = "%adom"
+_HEAD = "%answer"
+
+
 class _Context:
-    def __init__(self, db, extra_relations, meter=None):
+    def __init__(self, db, extra_relations, constants, meter=None):
         self.db = db
         self.meter = meter
         self.extra = dict(extra_relations)
-        domain = set()
-        for name in db.names():
-            relation = db.relation(name)
-            for column in range(relation.data_arity):
-                domain |= relation.data_values(column)
-        for relation in self.extra.values():
+        domain = set(constants)
+        for relation in [db.relation(name) for name in db.names()] + list(
+            self.extra.values()
+        ):
             for column in range(relation.data_arity):
                 domain |= relation.data_values(column)
         self.active_domain = sorted(domain, key=repr)
@@ -153,37 +167,11 @@ class _Context:
     def evaluate(self, node):
         if self.meter is not None:
             self.meter.check_deadline("fo subformula")
-        if isinstance(node, FoAtom):
-            return self._atom(node)
-        if isinstance(node, FoComparison):
-            return self._comparison(node)
-        if isinstance(node, FoAnd):
-            parts = [self.evaluate(p) for p in node.parts]
-            joined = join_all(
-                [
-                    NamedRelation(p.relation, p.temporal_vars, p.data_vars)
-                    for p in parts
-                ]
-            )
-            # The greedy join may visit conjuncts out of order; restore
-            # the first-appearance column order the caller observes.
-            temporal, data = [], []
-            for part in parts:
-                temporal += [v for v in part.temporal_vars if v not in temporal]
-                data += [v for v in part.data_vars if v not in data]
-            current_t = list(joined.temporal_vars)
-            current_d = list(joined.data_vars)
-            relation = joined.relation
-            if current_t != temporal or current_d != data:
-                relation = relation.project(
-                    [current_t.index(v) for v in temporal],
-                    [current_d.index(v) for v in data],
-                )
-            return Answers(relation, tuple(temporal), tuple(data))
+        if isinstance(node, (FoAtom, FoComparison, FoAnd)):
+            return self._clause([node], *free_variables(node))
         if isinstance(node, FoOr):
-            parts = [self.evaluate(p) for p in node.parts]
             temporal, data = free_variables(node)
-            widened = [self._widen(part, temporal, data) for part in parts]
+            widened = [self._clause([part], temporal, data) for part in node.parts]
             relation = widened[0].relation
             for part in widened[1:]:
                 relation = relation.union(part.relation)
@@ -200,121 +188,68 @@ class _Context:
             return self.evaluate(rewritten)
         raise TypeError("unexpected formula node %r" % (node,))
 
-    # -- leaves ---------------------------------------------------------------
-
-    def _atom(self, node):
-        atom = node.atom
-        relation = self.relation_named(atom.predicate)
-        if (
-            relation.temporal_arity != atom.temporal_arity
-            or relation.data_arity != atom.data_arity
-        ):
-            raise EvaluationError(
-                "atom %s does not match relation schema [%d; %d]"
-                % (atom, relation.temporal_arity, relation.data_arity)
-            )
-        # Temporal arguments: each kept column binds its variable (after
-        # compensating shifts); constants become selections.
-        temporal_vars = []
-        keep_temporal = []
-        selections = []
-        seen = {}
-        for index, term in enumerate(atom.temporal_args):
-            if term.var is None:
-                selections.append(
-                    Comparison("=", ColumnTerm(index), ColumnTerm(None, term.offset))
-                )
-            elif term.var in seen:
-                first_index, first_offset = seen[term.var]
-                # column[index] - offset = column[first] - first_offset
-                selections.append(
-                    Comparison(
-                        "=",
-                        ColumnTerm(index, -term.offset),
-                        ColumnTerm(first_index, -first_offset),
+    def _clause(self, conjuncts, temporal, data):
+        """The conjunction of ``conjuncts`` as one compiled clause whose
+        head columns are ``temporal`` and ``data``.  A head data
+        variable no conjunct binds ranges over the active domain; a head
+        temporal variable no conjunct mentions is a carrier column."""
+        body, schemas, env = [], {}, {}
+        parts = 0
+        pending = list(conjuncts)
+        while pending:
+            node = pending.pop(0)
+            if isinstance(node, FoAnd):
+                pending[:0] = node.parts
+            elif isinstance(node, FoComparison):
+                body.append(node.atom)
+            elif isinstance(node, FoAtom):
+                atom = node.atom
+                relation = self.relation_named(atom.predicate)
+                schema = (relation.temporal_arity, relation.data_arity)
+                if schema != (atom.temporal_arity, atom.data_arity):
+                    raise EvaluationError(
+                        "atom %s does not match relation schema [%d; %d]"
+                        % ((atom,) + schema)
+                    )
+                body.append(atom)
+                schemas[atom.predicate] = schema
+                env[atom.predicate] = relation
+            else:
+                answers = self.evaluate(node)
+                name = _PART % parts
+                parts += 1
+                body.append(
+                    PredicateAtom(
+                        name,
+                        tuple(TemporalTerm(v) for v in answers.temporal_vars),
+                        tuple(DataTerm.variable(v) for v in answers.data_vars),
                     )
                 )
-            else:
-                seen[term.var] = (index, term.offset)
-                temporal_vars.append(term.var)
-                keep_temporal.append((index, term.offset))
-        if selections:
-            relation = relation.select(selections)
-        # Data arguments.
-        data_vars = []
-        keep_data = []
-        seen_data = {}
-        for index, term in enumerate(atom.data_args):
-            if term.is_variable():
-                if term.name in seen_data:
-                    relation = relation.select_data_equal(seen_data[term.name], index)
-                else:
-                    seen_data[term.name] = index
-                    data_vars.append(term.name)
-                    keep_data.append(index)
-            else:
-                relation = relation.select_data_constant(index, term.value)
-        projected = relation.project([i for (i, _) in keep_temporal], keep_data)
-        # Column k holds var + offset; shift back so it holds the variable.
-        for position, (_, offset) in enumerate(keep_temporal):
-            if offset:
-                projected = projected.shift(position, -offset)
-        return Answers(projected, tuple(temporal_vars), tuple(data_vars))
-
-    def _comparison(self, node):
-        atom = node.atom
-        names = []
-        for term in (atom.left, atom.right):
-            if term.var is not None and term.var not in names:
-                names.append(term.var)
-        relation = GeneralizedRelation(
-            len(names),
-            0,
-            [GeneralizedTuple(tuple(Lrp.constant_carrier() for _ in names))],
-        )
-        index = {name: k for k, name in enumerate(names)}
-
-        def lower(term):
-            if term.var is None:
-                return ColumnTerm(None, term.offset)
-            return ColumnTerm(index[term.var], term.offset)
-
-        relation = relation.select(
-            [Comparison(atom.op, lower(atom.left), lower(atom.right))]
-        )
-        return Answers(relation, tuple(names), ())
-
-    # -- connectives ----------------------------------------------------------------
-
-    def _widen(self, part, temporal, data):
-        relation = part.relation
-        current_t = list(part.temporal_vars)
-        current_d = list(part.data_vars)
-        missing_t = [name for name in temporal if name not in current_t]
-        if missing_t:
-            carriers = GeneralizedRelation(
-                len(missing_t),
-                0,
-                [GeneralizedTuple(tuple(Lrp.constant_carrier() for _ in missing_t))],
+                schemas[name] = (len(answers.temporal_vars), len(answers.data_vars))
+                env[name] = answers.relation
+        bound = set()
+        for atom in body:
+            if isinstance(atom, PredicateAtom):
+                bound |= atom.data_variables()
+        missing = [name for name in data if name not in bound]
+        if missing:
+            body += [
+                PredicateAtom(_DOMAIN, (), (DataTerm.variable(name),))
+                for name in missing
+            ]
+            schemas[_DOMAIN] = (0, 1)
+            env[_DOMAIN] = GeneralizedRelation(
+                0, 1, [GeneralizedTuple((), (v,)) for v in self.active_domain]
             )
-            relation = relation.product(carriers)
-            current_t += missing_t
-        missing_d = [name for name in data if name not in current_d]
-        if missing_d:
-            domain_rel = GeneralizedRelation(
-                0,
-                len(missing_d),
-                [
-                    GeneralizedTuple((), vector)
-                    for vector in _vectors(self.active_domain, len(missing_d))
-                ],
-            )
-            relation = relation.product(domain_rel)
-            current_d += missing_d
-        order_t = [current_t.index(name) for name in temporal]
-        order_d = [current_d.index(name) for name in data]
-        relation = relation.project(order_t, order_d)
-        return Answers(relation, tuple(temporal), tuple(data))
+        head = PredicateAtom(
+            _HEAD,
+            tuple(TemporalTerm(v) for v in temporal),
+            tuple(DataTerm.variable(v) for v in data),
+        )
+        plan = ClausePlan(
+            normalize_clause(Clause(head, tuple(body))), schemas, frozenset()
+        )
+        return Answers(plan.evaluate(env), tuple(temporal), tuple(data))
 
     def _exists(self, names, inner):
         keep_t = [

@@ -4,9 +4,8 @@ Every front-end evaluates through this package:
 
 * :mod:`repro.plan.compiler` / :mod:`repro.plan.operators` — compiled
   clause plans for the deductive engine's T_GP rounds (naive and
-  semi-naive);
-* :mod:`repro.plan.joiner` — greedy multi-way conjunction joining for
-  the FO evaluator;
+  semi-naive) and for the FO evaluator's conjunctions, each compiled
+  to one clause;
 * :mod:`repro.plan.ground` — slice-driven ground-clause matching for
   the Datalog1S frontier evaluator;
 * :mod:`repro.plan.goal` — conjunction ordering for Templog goals;

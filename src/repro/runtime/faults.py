@@ -14,13 +14,16 @@ Instrumented sites
 ------------------
 ``clause``
     Entry of :meth:`repro.plan.compiler.ClausePlan.evaluate` (and of
-    the reference evaluator) — one hit per clause firing.
+    the reference evaluator) — one hit per clause firing.  An FO query
+    fires one clause per conjunction, lone atom or comparison, and
+    disjunct it evaluates.
 ``compile``
     Each clause compiled into a
     :class:`~repro.plan.compiler.ClausePlan` — one hit per clause of a
     program compile (a program already in
     :data:`repro.plan.memo.PROGRAMS` compiles nothing, so it does not
-    hit).
+    hit), and one per clause an FO query fires (FO clauses are
+    compiled per evaluation, never cached).
 ``dbm_canonicalize``
     :meth:`repro.constraints.dbm.Dbm.close` actually recomputing a
     shortest-path closure (already-closed matrices do not hit).

@@ -190,6 +190,23 @@ class TestOtherCommands:
         assert code == 0
         assert "truth value: True" in output
 
+    def test_query_disjunction_widens_data_columns(self, files):
+        # The right disjunct lacks X: it ranges over the active domain.
+        code, output = run_cli(
+            [
+                "query",
+                files["edb.gdb"],
+                "exists t2 (course(t1, t2; X)) or seed(t1)",
+                "--window",
+                "0",
+                "10",
+            ]
+        )
+        assert code == 0
+        assert "(n; \"database\") where T1 = 0" in output
+        assert "(0, 'database')" in output
+        assert "(8, 'database')" in output
+
     def test_datalog1s(self, files):
         code, output = run_cli(["datalog1s", files["trains.d1s"]])
         assert code == 0

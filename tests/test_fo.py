@@ -171,6 +171,45 @@ class TestConnectives:
         assert not answers.is_true()
 
 
+class TestDisjunctionWidening:
+    """A disjunct missing a variable of the disjunction is widened: a
+    temporal variable ranges over ℤ, a data variable over the active
+    domain."""
+
+    DB = """
+    relation r[1; 1] { (2n; "a") where T1 >= 0; (3n; "b") where T1 >= 0; }
+    relation s[1; 0] { (5n) where T1 >= 0; }
+    relation d[1; 1] { (n; "d") where T1 = 0; }
+    """
+
+    def test_missing_data_variable_ranges_over_active_domain(self):
+        answers = evaluate_query(parse_database(self.DB), "r(t; X) or s(t)")
+        assert answers.temporal_vars == ("t",)
+        assert answers.data_vars == ("X",)
+        rows = answers.rows(0, 11)
+        # s(5) holds, so every active-domain value pairs with t = 5;
+        # r(5; X) holds for no X.
+        assert [row["X"] for row in rows if row["t"] == 5] == ["a", "b", "d"]
+        assert {"t": 4, "X": "a"} in rows
+        assert {"t": 4, "X": "b"} not in rows
+
+    def test_query_constants_join_the_active_domain(self):
+        # "c" occurs in no relation, only in the query.
+        answers = evaluate_query(
+            parse_database(self.DB), 'r(t; X) or not d(t; "c")'
+        )
+        rows = answers.rows(0, 3)
+        assert {"t": 1, "X": "c"} in rows
+        assert {row["X"] for row in rows} == {"a", "b", "c", "d"}
+
+    def test_query_constants_complement_without_disjunction(self):
+        answers = evaluate_query(
+            parse_database(self.DB),
+            'not exists t (r(t; X)) and not exists t (d(t; "c"))',
+        )
+        assert answers.rows(0, 1) == [{"X": "c"}, {"X": "d"}]
+
+
 class TestAgainstGroundEnumeration:
     def test_negation_window_cross_check(self):
         database = db()

@@ -296,6 +296,40 @@ class TestFrontEndTraces:
         assert runs[-1]["outcome"] == "ok"
         assert runs[-1]["duration_s"] >= 0.0
 
+    def test_fo_conjunction_runs_a_compiled_clause_plan(self, tmp_path):
+        """An FO conjunction evaluates as one compiled clause, so its
+        trace carries the plan layer's operator and batch events, and
+        the whole file passes the trace schema check."""
+        import importlib.util
+        import os
+
+        from repro.fo import evaluate_query
+
+        spec = importlib.util.spec_from_file_location(
+            "check_trace",
+            os.path.join(os.path.dirname(__file__), "..", "tools", "check_trace.py"),
+        )
+        check_trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_trace)
+        path = tmp_path / "trace.jsonl"
+        db = parse_database(EDB)
+        with TraceRecorder(path=str(path)) as recorder:
+            with hooks.subscribed(recorder):
+                answers = evaluate_query(
+                    db, "course(t1, t2; C) and t1 >= 0 and t1 < 100"
+                )
+        assert answers.rows(0, 200) == [{"t1": 8, "t2": 10, "C": "database"}]
+        operators = recorder.of_kind("plan.operator")
+        assert [event["op"] for event in operators] == ["join", "projection"]
+        assert operators[0]["predicate"] == "course"
+        batches = recorder.of_kind("kernel.batch")
+        assert len(batches) == len(operators)
+        assert {event["clause"] for event in batches} == {operators[0]["clause"]}
+        assert check_trace.check(
+            str(path),
+            require_kinds=["engine.run", "plan.operator", "kernel.batch"],
+        ) == []
+
     def test_datalog1s_forward_model_emits_round_per_slice(self):
         from repro.datalog1s import minimal_model, parse_datalog1s
 

@@ -186,6 +186,39 @@ class TestInjectedFaults:
         assert info.value.partial_model is not None
 
 
+class TestFoQuerySites:
+    """An FO query compiles and fires one clause per conjunction, lone
+    atom or comparison, and disjunct."""
+
+    @pytest.mark.parametrize(
+        "query, clauses",
+        [
+            ("course(t1, t2; C) and t1 >= 0 and seed(u)", 1),
+            ("seed(t)", 1),
+            ("seed(t) or t > 3", 2),
+            # the negated atom, the quantified conjunction, the outer one
+            ("not seed(t) and exists u (seed(u) and u < t)", 3),
+        ],
+    )
+    def test_compile_and_clause_hits(self, query, clauses):
+        from repro.fo import evaluate_query
+
+        plan = FaultPlan.inject("round", at=10_000)
+        with plan.installed():
+            evaluate_query(parse_database(EDB), query)
+        assert (plan.hits["compile"], plan.hits["clause"]) == (clauses, clauses)
+
+    @pytest.mark.parametrize("site", ["compile", "clause"])
+    def test_fault_surfaces_typed(self, site):
+        from repro.fo import evaluate_query
+
+        with pytest.raises(InjectedFaultError) as info:
+            with FaultPlan.inject(site).installed():
+                evaluate_query(parse_database(EDB), "seed(t) and t < 5")
+        assert isinstance(info.value, ReproError)
+        assert info.value.site == site
+
+
 class TestResumeAfterCrash:
     def test_resume_from_pre_fault_checkpoint_converges(self, tmp_path):
         """The ISSUE acceptance test: crash mid-fixpoint, resume from
