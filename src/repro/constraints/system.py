@@ -9,7 +9,7 @@ exposes exactly the operations the generalized-database algebra needs.
 from __future__ import annotations
 
 from repro.constraints.atoms import Comparison, TemporalTerm, parse_constraint_text
-from repro.constraints.dbm import CONSTRAINT_TABLE, Dbm, intern_dbm
+from repro.constraints.dbm import CONSTRAINT_TABLE, INF, Dbm, intern_dbm
 
 
 class ConstraintSystem:
@@ -143,6 +143,20 @@ class ConstraintSystem:
             for (i, j, c) in atom.to_bounds():
                 zone.add_bound(i, j, c)
         return ConstraintSystem(arity, zone)
+
+    def hull(self, other):
+        """The smallest zone containing both systems: the entrywise max
+        of their closed DBM bounds."""
+        if not self.is_satisfiable():
+            return other
+        if not other.is_satisfiable():
+            return self
+        zone = Dbm.unconstrained(self.arity)
+        for (i, j, c) in self._zone.finite_bounds():
+            bound = other._zone.bound(i, j)
+            if bound != INF:
+                zone.add_bound(i, j, max(c, bound))
+        return ConstraintSystem(self.arity, zone)
 
     def project_out(self, column):
         """Existentially quantify a 0-based column; the result has

@@ -425,23 +425,13 @@ class DeductiveEngine:
         :meth:`run`'s own (one loop, with its round events).
 
         Only single-stratum programs without negation can be grown
-        from a warm state (non-monotone strata would have to be
-        recomputed anyway); anything else raises
-        :class:`~repro.util.errors.EvaluationError`, which the
-        maintainer treats as "recompute from scratch".  Give-up,
-        budget, and abort behavior mirror :meth:`run`.
+        from a warm state (see :meth:`warm_start_blocker`); anything
+        else raises :class:`~repro.util.errors.EvaluationError`.
+        Give-up, budget, and abort behavior mirror :meth:`run`.
         """
-        if self.evaluator.stratum_count() > 1:
-            raise EvaluationError(
-                "incremental maintenance requires a single stratum "
-                "(program has %d)" % self.evaluator.stratum_count()
-            )
-        for evaluator in self.evaluator.evaluators:
-            if evaluator.normalized.negated_atoms:
-                raise EvaluationError(
-                    "incremental maintenance cannot warm-start clauses "
-                    "with negation: %s" % evaluator.normalized
-                )
+        blocker = self.warm_start_blocker()
+        if blocker is not None:
+            raise EvaluationError(blocker)
         stats = EvaluationStats(strategy="semi-naive", safety_mode=self.safety)
         env = self.evaluator.initial_environment()
         for name, relation in relations.items():
@@ -458,6 +448,24 @@ class DeductiveEngine:
                 stats.constraint_safe = True
                 return self._partial_model(env, stats)
         return self._evaluate(env, stats, budget, delta=delta)
+
+    def warm_start_blocker(self):
+        """Why :meth:`maintain` cannot grow this program from a warm
+        state, or None when it can.  Non-monotone strata would have to
+        be recomputed anyway, so only single-stratum programs without
+        negation qualify; the maintainer recomputes the others."""
+        if self.evaluator.stratum_count() > 1:
+            return (
+                "incremental maintenance requires a single stratum "
+                "(program has %d)" % self.evaluator.stratum_count()
+            )
+        for evaluator in self.evaluator.evaluators:
+            if evaluator.normalized.negated_atoms:
+                return (
+                    "incremental maintenance cannot warm-start clauses "
+                    "with negation: %s" % evaluator.normalized
+                )
+        return None
 
     def _emit_run_end(self, stats, outcome):
         if hooks.SINKS:
@@ -638,6 +646,11 @@ class DeductiveEngine:
                 last_growth = stats.rounds
             closed = False
             while rounds_done < max_rounds:
+                # Checked before the round, not after it, so a run
+                # resumed from the checkpoint of the round that ran out
+                # of patience gives up there too.
+                if patience is not None and stats.rounds - last_growth >= patience:
+                    break
                 rounds_done += 1
                 stats.rounds += 1
                 observing = bool(hooks.SINKS)
@@ -743,9 +756,6 @@ class DeductiveEngine:
                     stats.checkpoints_written += 1
 
                 yield fresh
-
-                if patience is not None and stats.rounds - last_growth >= patience:
-                    break
             stats.signature_stable_round = last_growth
             if hooks.SINKS:
                 hooks.emit(

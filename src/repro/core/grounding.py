@@ -11,18 +11,27 @@ domain it terminates and serves two purposes here:
 * the **baseline** of experiment E6 — its cost grows with the window
   while the generalized-tuple evaluation does not.
 
+Negation is stratified: the clauses run stratum by stratum in
+:func:`~repro.core.stratify.stratify` order, so every negated
+predicate is complete (within the window) before a clause tests it,
+and ``not p(...)`` holds exactly when its ground instance, bound by the
+positive atoms, is not a fact.
+
 Window semantics: every derived atom whose temporal components all lie
 inside the window is kept; derivations that leave the window are
-dropped.  Near the upper edge the fixpoint therefore under-approximates
-the true model; comparisons should use an interior margin of at least
-the largest clause offset times the number of rounds needed.
+dropped.  Near the edges the fixpoint therefore under-approximates the
+true model, and a negated atom over such a truncated (or out-of-window)
+instance holds where the true model would refute it, so ``not``
+over-approximates there.  Comparisons should use an interior margin of
+at least the largest clause offset times the number of rounds needed;
+the same margin covers both effects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.ast import ConstraintAtom, PredicateAtom
+from repro.core.stratify import stratify
 from repro.util.errors import EvaluationError
 
 _OPS = {
@@ -49,9 +58,10 @@ class GroundEvaluator:
 
     Ground atoms are ``(times, data)`` pairs of tuples.  Clauses must
     be range restricted for ground evaluation: every temporal variable
-    of the head and of constraint atoms has to occur in some body
-    predicate atom (otherwise it would range over the whole window —
-    the generalized engine handles that case; this baseline does not).
+    of the head, of constraint atoms and of negated atoms has to occur
+    in some positive body atom (otherwise it would range over the whole
+    window — the generalized engine handles that case; this baseline
+    does not).  A violation raises :class:`EvaluationError`.
     """
 
     def __init__(self, program, edb, low, high):
@@ -78,8 +88,8 @@ class GroundEvaluator:
             for atom in clause.predicate_atoms():
                 bound |= atom.temporal_variables()
             needed = clause.head.temporal_variables()
-            for constraint in clause.constraint_atoms():
-                needed |= constraint.temporal_variables()
+            for atom in clause.constraint_atoms() + clause.negated_atoms():
+                needed |= atom.temporal_variables()
             missing = needed - bound
             if missing:
                 raise EvaluationError(
@@ -91,21 +101,23 @@ class GroundEvaluator:
     # -- evaluation ----------------------------------------------------------
 
     def run(self, max_rounds=10_000):
-        """Iterate T_P to fixpoint within the window; returns stats."""
+        """Iterate T_P to fixpoint within the window, one stratum after
+        another (at most ``max_rounds`` rounds each); returns stats."""
         stats = GroundStats()
-        for round_number in range(1, max_rounds + 1):
-            stats.rounds = round_number
-            added = False
-            for clause in self.program.clauses:
-                for times, data in self._fire(clause, stats):
-                    atom = (times, data)
-                    if atom not in self.facts[clause.head.predicate]:
-                        self.facts[clause.head.predicate].add(atom)
-                        added = True
-            stats.atoms = sum(len(atoms) for atoms in self.facts.values())
-            stats.atoms_per_round.append(stats.atoms)
-            if not added:
-                break
+        for clauses in stratify(self.program)[1]:
+            for _ in range(max_rounds):
+                stats.rounds += 1
+                added = False
+                for clause in clauses:
+                    facts = self.facts[clause.head.predicate]
+                    for atom in self._fire(clause, stats):
+                        if atom not in facts:
+                            facts.add(atom)
+                            added = True
+                stats.atoms = sum(len(atoms) for atoms in self.facts.values())
+                stats.atoms_per_round.append(stats.atoms)
+                if not added:
+                    break
         return stats
 
     def _fire(self, clause, stats):
@@ -113,6 +125,7 @@ class GroundEvaluator:
         results = []
         body = clause.predicate_atoms()
         constraints = clause.constraint_atoms()
+        negated = [negation.atom for negation in clause.negated_atoms()]
 
         def evaluate_term(term, theta):
             if term.var is None:
@@ -122,12 +135,23 @@ class GroundEvaluator:
                 return None
             return value + term.offset
 
+        def ground(atom, theta):
+            times = tuple(evaluate_term(term, theta) for term in atom.temporal_args)
+            data = tuple(
+                theta[term.name] if term.is_variable() else term.value
+                for term in atom.data_args
+            )
+            return times, data
+
         def recurse(index, theta):
             if index == len(body):
                 for constraint in constraints:
                     left = evaluate_term(constraint.left, theta)
                     right = evaluate_term(constraint.right, theta)
                     if not _OPS[constraint.op](left, right):
+                        return
+                for atom in negated:
+                    if ground(atom, theta) in self.facts[atom.predicate]:
                         return
                 stats.derivations += 1
                 times = []

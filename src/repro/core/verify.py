@@ -9,7 +9,9 @@ the engine, using the two halves of the fixpoint characterization:
 * **Support** (minimality direction, checked on a window): every
   ground atom of the model inside a window must also be derived by the
   ground tuple-at-a-time oracle on a sufficiently larger window, and
-  vice versa on the interior.
+  vice versa on the interior.  The oracle evaluates stratified
+  negation itself (:mod:`repro.core.grounding`), so programs with
+  ``not`` are checked against ground semantics too.
 
 Together these make a strong certificate for a reproduction: the
 closed form is a fixpoint and agrees with the reference semantics
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from repro.core.evaluation import ProgramEvaluator
 from repro.core.grounding import GroundEvaluator
 from repro.core.safety import coverage_test
+from repro.util.errors import EvaluationError
 
 
 @dataclass
@@ -93,9 +96,10 @@ def verify_model(program, edb, model, window=(0, 200), margin=None, safety="pape
     # -- window agreement with the ground oracle -----------------------
     try:
         oracle = GroundEvaluator(program, edb, low - margin, high + margin)
-    except Exception:
-        # Programs outside the ground evaluator's fragment (negation,
-        # unbound head variables) only get the stability check.
+    except EvaluationError:
+        # Programs outside the ground evaluator's fragment (a temporal
+        # variable no positive body atom binds) only get the stability
+        # check.
         return report
     oracle.run()
     for predicate in model.predicates():

@@ -45,7 +45,6 @@ from repro.core.engine import DeductiveEngine
 from repro.core.parser import parse_program
 from repro.gdb.relation import GeneralizedRelation
 from repro.util import hooks
-from repro.util.errors import EvaluationError, PartialResultError
 from repro.util.hooks import fault_point
 
 
@@ -188,6 +187,11 @@ class MaterializedModel:
             report.rounds = 0
             return self._finish(self.model, report)
         engine = self._engine(store.snapshot(target))
+        if engine.warm_start_blocker() is not None:
+            # Negation or several strata: the warm path is unsound, and
+            # overdeletion could not fire a negated clause without its
+            # complement.
+            return self._recompute(store, target, "not-maintainable", budget, report)
         relations = {
             name: self.model.relation(name) for name in self.model.predicates()
         }
@@ -201,16 +205,9 @@ class MaterializedModel:
             delta = None  # naive rederivation restart
         else:
             delta = inserts
-        try:
-            model = engine.maintain(relations, delta=delta, budget=budget)
-        except PartialResultError:
-            # Give-up / budget / abort: a recompute would fare no
-            # better — surface the typed error with its partial model.
-            raise
-        except EvaluationError:
-            # Negation / multi-stratum: the warm path is unsound here;
-            # recompute instead.
-            return self._recompute(store, target, "not-maintainable", budget, report)
+        # Give-up / budget / abort propagate: a recompute would fare no
+        # better, and the typed error carries its partial model.
+        model = engine.maintain(relations, delta=delta, budget=budget)
         report.rounds = model.stats.rounds
         return self._finish(model, report)
 

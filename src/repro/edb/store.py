@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.edb.wal import Wal, _fsync_directory
+from repro.edb.wal import Wal
 from repro.gdb.database import GeneralizedDatabase
 from repro.gdb.parser import parse_generalized_tuple
 from repro.gdb.tuple import GeneralizedTuple
@@ -50,6 +50,7 @@ from repro.util.errors import (
     WalCorruptError,
     WalError,
 )
+from repro.util.files import atomic_write
 
 _CHECKPOINT_NAME = "checkpoint.json"
 _CHECKPOINT_VERSION = 1
@@ -424,13 +425,7 @@ class EdbStore:
             payload_text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
             wrapper = {"digest": _digest(payload_text), "payload": payload_text}
             path = self._checkpoint_path()
-            tmp = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(wrapper, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            _fsync_directory(self.root)
+            atomic_write(path, json.dumps(wrapper))
             self._checkpoint_tx = self._head_tx
             self.wal.drop_segments_before(keep_from)
             return path

@@ -49,6 +49,7 @@ import zlib
 
 from repro.util import hooks
 from repro.util.errors import WalCorruptError, WalError
+from repro.util.files import fsync_directory
 
 _HEADER = struct.Struct("<II")
 
@@ -69,21 +70,6 @@ def _segment_index(name):
     if not body.isdigit():
         return None
     return int(body)
-
-
-def _fsync_directory(path):
-    """Best-effort fsync of a directory (durability of renames and
-    creates on POSIX; harmless no-op where unsupported)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def _scan_segment(path, allow_torn_tail):
@@ -193,7 +179,7 @@ class Wal:
         # is later garbage-collected) can never flush stale buffered
         # bytes behind a reopened log's back.
         self._handle = open(path, "ab", buffering=0)
-        _fsync_directory(self.root)
+        fsync_directory(self.root)
 
     @property
     def tail_index(self):
@@ -287,5 +273,5 @@ class Wal:
                 os.unlink(self._segment_path(found))
                 removed.append(found)
         if removed:
-            _fsync_directory(self.root)
+            fsync_directory(self.root)
         return removed

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 
-from repro.constraints.dbm import Dbm, INF
 from repro.constraints.system import ConstraintSystem
 from repro.gdb.store import ColumnStore
 from repro.gdb.tuple import GeneralizedTuple, signature_id
@@ -547,7 +546,7 @@ def _try_merge(a, b):
     if a.data != b.data:
         return None
     if a.lrps == b.lrps:
-        hull = _zone_hull(a.constraints, b.constraints)
+        hull = a.constraints.hull(b.constraints)
         residue = hull.minus(a.constraints)
         residue = [
             piece
@@ -573,20 +572,3 @@ def _try_merge(a, b):
                     return GeneralizedTuple(tuple(lrps), a.data, a.constraints)
     return None
 
-
-def _zone_hull(a, b):
-    """The smallest zone containing two constraint systems (entrywise
-    max of the closed DBMs)."""
-    if not a.is_satisfiable():
-        return b
-    if not b.is_satisfiable():
-        return a
-    za, zb = a.zone(), b.zone()
-    za.close()
-    zb.close()
-    hull = Dbm.unconstrained(za.size)
-    for (i, j, ca) in za.finite_bounds():
-        cb = zb.bound(i, j)
-        if cb != INF:
-            hull.add_bound(i, j, max(ca, cb))
-    return ConstraintSystem(a.arity, hull)

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.constraints.atoms import Comparison, TemporalTerm as ColumnTerm
-from repro.constraints.dbm import Dbm, INF
+from repro.constraints.dbm import Dbm
 from repro.constraints.system import ConstraintSystem
 from repro.core.ast import PredicateAtom, Program, TemporalTerm
 from repro.core.stratify import reachable_predicates, stratify
@@ -164,22 +164,6 @@ def magic_predicate(predicate):
 
 
 # -- zone arithmetic ---------------------------------------------------------
-
-
-def _hull(a, b):
-    """The tightest zone containing both (pointwise max of closed DBM
-    bounds) — the convex-hull join of the demand lattice."""
-    if not a.is_satisfiable():
-        return b
-    if not b.is_satisfiable():
-        return a
-    za, zb = a.zone(), b.zone()
-    joined = Dbm.unconstrained(a.arity)
-    for (i, j, c) in za.finite_bounds():
-        other = zb.bound(i, j)
-        if other != INF:
-            joined.add_bound(i, j, max(c, other))
-    return ConstraintSystem(a.arity, joined)
 
 
 def _widen(old, new):
@@ -497,7 +481,7 @@ def rewrite_for_goal(
                 continue
             if target_zone.implies(existing):
                 continue
-            merged = _hull(existing, target_zone)
+            merged = existing.hull(target_zone)
             merge_key = (rule.target, target_key)
             merges[merge_key] = merges.get(merge_key, 0) + 1
             if merges[merge_key] > widen_delay:

@@ -28,7 +28,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,6 +37,7 @@ from repro.gdb.tuple import GeneralizedTuple
 from repro.lrp.point import Lrp
 from repro.util import hooks
 from repro.util.errors import CheckpointError
+from repro.util.files import atomic_write
 from repro.util.hooks import fault_point
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -164,32 +164,19 @@ _TMP_SUFFIX_RE = re.compile(r"\.tmp(\.\d+)*$")
 def write_checkpoint(path, checkpoint):
     """Atomically and durably persist a checkpoint to ``path`` as JSON.
 
-    The payload is staged to ``<path>.tmp.<pid>.<tid>``, fsynced, and
-    moved into place with :func:`os.replace`; the containing directory
-    is then fsynced so the rename itself survives a crash.  A crash at
-    any point leaves either the previous checkpoint or the new one —
-    never a torn file — at ``path``; at worst a leftover ``*.tmp.*``
-    file remains, which :func:`load_checkpoint` refuses to load.  The
-    staging name includes both pid and thread id so concurrent writers
-    of the same path (e.g. an abandoned worker racing its replacement)
-    can never unlink or rename each other's staging file.
+    The write goes through :func:`repro.util.files.atomic_write`
+    (staged to ``<path>.tmp.<pid>.<tid>``, fsynced, renamed into place,
+    directory fsynced).  A crash at any point leaves either the
+    previous checkpoint or the new one — never a torn file — at
+    ``path``; at worst a leftover ``*.tmp.*`` file remains, which
+    :func:`load_checkpoint` refuses to load.
     """
     fault_point("checkpoint_write")
     started = time.perf_counter() if hooks.SINKS else None
     body = checkpoint.to_json_dict()
     body["digest"] = _payload_digest(body)
     payload = json.dumps(body, indent=None, sort_keys=False)
-    tmp_path = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
-    try:
-        with open(tmp_path, "w") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-        _fsync_directory(os.path.dirname(os.path.abspath(path)))
-    finally:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+    atomic_write(path, payload)
     if started is not None:
         hooks.emit(
             "checkpoint.write",
@@ -201,21 +188,6 @@ def write_checkpoint(path, checkpoint):
                 "duration_s": time.perf_counter() - started,
             },
         )
-
-
-def _fsync_directory(directory):
-    """Flush a rename to disk; best-effort where directories cannot be
-    opened (e.g. Windows)."""
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
 
 
 def _payload_digest(body):

@@ -166,6 +166,23 @@ class TestStatsAndVerify:
         assert code == 0
         assert "model verified" in output
 
+    def test_verify_accepts_a_model_with_negation(self, tmp_path):
+        edb = tmp_path / "a.gdb"
+        edb.write_text(
+            'relation a[1; 1] { (6n; "x") where T1 >= 0; '
+            '(4n+1; "y") where T1 >= 0; }'
+        )
+        program = tmp_path / "negation.dtl"
+        program.write_text(
+            "q(t; X) <- a(t; X).\np(t; X) <- a(t; X), not q(t; X).\n"
+        )
+        code, output = run_cli(
+            ["run", str(program), "--edb", str(edb), "--verify",
+             "--window", "0", "60"]
+        )
+        assert code == 0
+        assert "model verified" in output
+
 
 class TestOtherCommands:
     def test_query(self, files):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.constraints import Comparison, ConstraintSystem, TemporalTerm
 from repro.constraints.atoms import parse_constraint_text
-from repro.constraints.simplify import disjoint_cover, prune_covered
 from repro.util.errors import ParseError
 
 
@@ -189,28 +188,18 @@ class TestDisplay:
             assert ConstraintSystem.parse(str(cs), 3) == cs
 
 
-class TestSimplify:
-    def test_prune_covered(self):
-        whole = ConstraintSystem.parse("T1 >= 0 & T1 < 11", 1)
-        sub = ConstraintSystem.parse("T1 >= 3 & T1 < 8", 1)
-        kept = prune_covered([whole, sub])
-        assert kept == [whole]
-
-    def test_prune_keeps_needed(self):
-        left = ConstraintSystem.parse("T1 < 6", 1)
-        right = ConstraintSystem.parse("T1 >= 6", 1)
-        assert sorted(map(str, prune_covered([left, right]))) == sorted(
-            map(str, [left, right])
+class TestHull:
+    def test_hull_is_the_smallest_enclosing_zone(self):
+        a = ConstraintSystem.parse("T1 >= 0 & T1 < 10 & T2 = T1 + 2", 2)
+        b = ConstraintSystem.parse("T1 >= 5 & T1 < 15 & T2 = T1 + 4", 2)
+        hull = a.hull(b)
+        assert a.implies(hull) and b.implies(hull)
+        assert hull == ConstraintSystem.parse(
+            "T1 >= 0 & T1 < 15 & T2 >= T1 + 2 & T2 <= T1 + 4", 2
         )
 
-    def test_disjoint_cover(self):
-        a = ConstraintSystem.parse("T1 >= 0 & T1 < 10", 1)
-        b = ConstraintSystem.parse("T1 >= 5 & T1 < 15", 1)
-        cover = disjoint_cover([a, b])
-        counts = {}
-        for t in range(-3, 20):
-            counts[t] = sum(piece.satisfied_by((t,)) for piece in cover)
-        for t in range(0, 15):
-            assert counts[t] == 1
-        for t in (-1, 15, 16):
-            assert counts[t] == 0
+    def test_hull_with_unsatisfiable_is_the_other(self):
+        a = ConstraintSystem.parse("T1 >= 3", 1)
+        bottom = ConstraintSystem.bottom(1)
+        assert a.hull(bottom) is a
+        assert bottom.hull(a) is a

@@ -410,6 +410,31 @@ class TestGroundEvaluator:
         ground.run()
         assert ground.extension("p") == {(0, "x"), (2, "x"), (4, "x")}
 
+    def test_negated_atom_is_non_membership(self):
+        edb = parse_database('relation a[1; 1] { (6n; "x") where T1 >= 0; }')
+        program = parse_program('p(t; "x") <- a(t; "x"), not a(t; "x").')
+        ground = GroundEvaluator(program, edb, 0, 24)
+        ground.run()
+        assert ground.extension("p") == set()
+
+    def test_negation_runs_stratum_by_stratum(self):
+        edb = parse_database(
+            "relation a[1; 0] { (2n) where T1 >= 0; }\n"
+            "relation b[1; 0] { (3n) where T1 >= 0; }"
+        )
+        # q is listed after the clause negating it: only stratified
+        # evaluation finishes q before p tests it.
+        program = parse_program("p(t) <- a(t), not q(t). q(t) <- b(t).")
+        ground = GroundEvaluator(program, edb, 0, 13)
+        ground.run()
+        assert ground.extension("p") == {(2,), (4,), (8,), (10,)}
+
+    def test_negated_temporal_variable_must_be_bound(self):
+        edb = parse_database("relation q[1; 0] { (2n); }")
+        program = parse_program("p(t) <- q(t), not q(u).")
+        with pytest.raises(EvaluationError):
+            GroundEvaluator(program, edb, 0, 10)
+
 
 # -- coverage cache ---------------------------------------------------------
 

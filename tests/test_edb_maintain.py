@@ -226,6 +226,27 @@ class TestDegradation:
         assert model.equivalent(scratch_model(store, program=NEGATION))
         store.close()
 
+    def test_negation_retraction_recomputes(self, tmp_path):
+        # Overdeletion cannot fire a negated clause without its
+        # complement: a retraction under negation recomputes up front.
+        store = EdbStore(str(tmp_path / "store"))
+        store.apply(
+            [
+                {"op": "declare", "relation": "slot", "temporal_arity": 1, "data_arity": 0},
+                {"op": "declare", "relation": "busy", "temporal_arity": 1, "data_arity": 0},
+                {"op": "assert", "relation": "slot", "tuple": gt("(24n)", 1, 0)},
+                {"op": "assert", "relation": "slot", "tuple": gt("(24n+12)", 1, 0)},
+                {"op": "assert", "relation": "busy", "tuple": gt("(24n+12)", 1, 0)},
+            ]
+        )
+        maintained = MaterializedModel(NEGATION)
+        maintained.refresh(store)
+        store.apply([{"op": "retract", "relation": "slot", "tuple": gt("(24n)", 1, 0)}])
+        model = maintained.refresh(store)
+        assert maintained.last_report.reason == "not-maintainable"
+        assert model.equivalent(scratch_model(store, program=NEGATION))
+        store.close()
+
     def test_asof_before_model_recomputes(self, store):
         store.apply([assert_course(LOGIC)])
         maintained = MaterializedModel(PROGRAM)

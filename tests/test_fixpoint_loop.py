@@ -7,6 +7,10 @@ engine's rounds, with the same round events; and one delta round
 serves semi-naive rounds and the maintainer's warm start.
 """
 
+import shutil
+from unittest import mock
+
+import repro.core.engine as engine_module
 from repro.core import DeductiveEngine, parse_program
 from repro.gdb import parse_database
 from repro.util import hooks
@@ -140,3 +144,28 @@ def test_seminaive_derives_less_than_naive_on_e14():
     assert sum(semi.stats.derived_tuples_per_round) == 13
     assert sum(naive.stats.derived_tuples_per_round) == 91
     assert semi.equivalent(naive)
+
+
+def test_resume_from_the_round_that_runs_out_of_patience(tmp_path):
+    """The checkpoint of a give-up run's last round resumes to the same
+    give-up: patience is checked before a round, so the resumed run
+    does not derive one round more than the uninterrupted one."""
+    copies = []
+    write = engine_module.write_checkpoint
+
+    def copying_write(target, checkpoint):
+        write(target, checkpoint)
+        copies.append(str(tmp_path / ("round%d.json" % len(copies))))
+        shutil.copyfile(target, copies[-1])
+
+    def diverging():
+        return engine(DIVERGING, SEED_EDB, patience=3, on_give_up="partial")
+
+    with mock.patch.object(engine_module, "write_checkpoint", copying_write):
+        clean = diverging().run(
+            checkpoint_every=1, checkpoint_path=str(tmp_path / "run.json")
+        )
+    assert clean.stats.gave_up
+    resumed = diverging().run(resume_from=copies[-1])
+    assert resumed.stats.rounds == clean.stats.rounds
+    assert str(resumed) == str(clean)

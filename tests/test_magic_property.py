@@ -1,20 +1,18 @@
-"""Goal-directed (magic-set) evaluation: equivalence and unit tests.
+"""Goal-directed (magic-set) evaluation: unit tests.
 
-The core contract: within the demanded window, goal-directed answers
-are exactly the full fixpoint's.  Hypothesis generates recursive chain
-programs with random shifts and random point/window goals and checks
-the extensions match; unit tests pin the adornment meet, the demand
-zones seeded into magic facts, the negation cone, the fallback
-degradations, and the CLI's typed (numeric-before-lexicographic) sort
-of windowed answers.
+The core contract — within the demanded window, goal-directed answers
+are exactly the full fixpoint's — is checked on generated programs by
+the differential matrix (``tests/test_differential.py``).  These unit
+tests pin the adornment meet, the demand zones seeded into magic
+facts, the negation cone, the fallback degradations, the work gates on
+E14, and the CLI's typed (numeric-before-lexicographic) sort of
+windowed answers.
 """
 
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import DeductiveEngine, parse_program
@@ -29,60 +27,6 @@ from repro.plan.magic import (
 )
 
 from tests.e14 import workloads
-
-
-@st.composite
-def chain_case(draw):
-    """2-3 independent recursive chains plus a cross-chain join, and a
-    random goal (point or window) on one of the derived predicates."""
-    chains = draw(st.integers(2, 3))
-    edb_parts = []
-    program_parts = []
-    for chain in range(chains):
-        period = draw(st.integers(4, 12))
-        offset = draw(st.integers(0, period - 1))
-        shift = draw(st.integers(1, 6))
-        edb_parts.append(
-            'relation s%d[1; 1] { (%dn+%d; "d%d") where T1 >= 0; }'
-            % (chain, period, offset, chain)
-        )
-        program_parts.append("p%d(t; X) <- s%d(t; X)." % (chain, chain))
-        program_parts.append(
-            "p%d(t + %d; X) <- p%d(t; X)." % (chain, shift, chain)
-        )
-    program_parts.append("join0(t; X, Y) <- p0(t; X), p1(t; Y).")
-    predicate = draw(
-        st.sampled_from(["p%d" % c for c in range(chains)] + ["join0"])
-    )
-    low = draw(st.integers(0, 40))
-    width = draw(st.integers(1, 25))
-    return (
-        "\n".join(edb_parts),
-        "\n".join(program_parts),
-        predicate,
-        low,
-        low + width,
-    )
-
-
-@given(chain_case())
-@settings(max_examples=20, deadline=None)
-def test_goal_directed_equals_full_within_window(case):
-    edb_text, program_text, predicate, low, high = case
-    edb = parse_database(edb_text)
-    program = parse_program(program_text)
-    full = DeductiveEngine(program, edb, on_give_up="partial").run()
-    assert full.stats.constraint_safe
-
-    goal = QueryGoal.windowed(predicate, low, high)
-    model, info = goal_directed_model(program, edb, goal, on_give_up="partial")
-    assert not info["degraded"], info
-    assert set(model.extension(predicate, low, high)) == set(
-        full.extension(predicate, low, high)
-    )
-    # Goal direction must never do *more* work than full fixpoint.
-    assert model.stats.total_new_tuples() <= full.stats.total_new_tuples()
-
 
 EDB = parse_database(
     """

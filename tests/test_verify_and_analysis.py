@@ -74,8 +74,21 @@ class TestVerifyModel:
         program = parse_program("quiet(t) <- not sched(t), t >= 0, t < 30.")
         model = DeductiveEngine(program, edb).run()
         report = verify_model(program, edb, model, window=(0, 30))
-        # Ground oracle cannot run negation; stability must still hold.
+        # t is bound by no positive atom, so the ground oracle cannot
+        # run this clause; stability must still hold.
         assert report.stable
+
+    def test_negation_program_is_checked_against_ground(self):
+        edb = parse_database(
+            "relation slot[1; 0] { (n) where T1 >= 0; }\n"
+            "relation sched[1; 0] { (10n) where T1 >= 0; }"
+        )
+        program = parse_program(
+            "busy(t) <- sched(t).\nbusy(t + 3) <- busy(t).\n"
+            "quiet(t) <- slot(t), not busy(t)."
+        )
+        model = DeductiveEngine(program, edb).run()
+        assert verify_model(program, edb, model, window=(0, 60)).ok()
 
 
 class TestAnalyze:
