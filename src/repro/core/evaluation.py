@@ -2,9 +2,10 @@
 
 Every normalized clause is compiled into a
 :class:`~repro.plan.compiler.ClausePlan` — an operator pipeline with
-greedy join ordering, selection/constraint pushdown, negation as
-anti-join against the exact complements, and the head projection
-fused in (see :mod:`repro.plan`).  The paper-literal
+greedy join ordering, selection/constraint pushdown, negation as an
+anti-join that subtracts a negated atom's matches (a join against the
+exact complement only where a negated temporal variable is left
+unpinned), and the head projection fused in (see :mod:`repro.plan`).  The paper-literal
 product-then-select-then-project formulation survives as
 :class:`~repro.plan.reference.ReferenceClauseEvaluator`
 (``evaluation="reference"``), serving as the correctness oracle and
@@ -149,9 +150,13 @@ class ProgramEvaluator:
         return len(self.stratum_evaluators)
 
     def complements_for(self, evaluators, env):
-        """Exact complement relations for every predicate negated by
-        the given evaluators, computed against the current environment
-        with active-domain data semantics."""
+        """Exact complement relations for every predicate the given
+        evaluators read through a complement, computed against the
+        current environment with active-domain data semantics.  The
+        reference evaluator reads every negated predicate that way; a
+        compiled plan only those of its complement joins (its
+        anti-joins read the environment itself), so complements built
+        for one mode do not serve the other."""
         negated = set()
         for evaluator in evaluators:
             negated |= evaluator.negated_predicates

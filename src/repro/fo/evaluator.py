@@ -15,7 +15,13 @@ Connectives map to algebra operations:
   to the common variable set: a missing temporal variable is an
   unconstrained carrier column, a missing data variable joins an
   active-domain atom;
-* negation — exact complement relative to ``ℤ^m × AD^l``;
+* negation — a negated conjunct whose data variables the clause's
+  positive conjuncts bind enters the clause as a negated atom over its
+  answers: the compiler subtracts its matches (an anti-join) when its
+  temporal variables are bound or pinned too, and joins its complement
+  otherwise.  Any other negation (top-level ``not``, ``forall``, a
+  negated conjunct with an unbound data variable) is the exact
+  complement relative to ``ℤ^m × AD^l``;
 * ``exists`` — projection; ``forall`` — ``¬∃¬``.
 
 Data variables follow the usual active-domain semantics: the active
@@ -31,7 +37,13 @@ import time
 
 from dataclasses import dataclass
 
-from repro.core.ast import Clause, DataTerm, PredicateAtom, TemporalTerm
+from repro.core.ast import (
+    Clause,
+    DataTerm,
+    NegatedAtom,
+    PredicateAtom,
+    TemporalTerm,
+)
 from repro.core.transform import normalize_clause
 from repro.fo.ast import (
     FoAnd,
@@ -178,8 +190,7 @@ class _Context:
             return Answers(relation, temporal, data)
         if isinstance(node, FoNot):
             inner = self.evaluate(node.sub)
-            domains = [self.active_domain] * len(inner.data_vars)
-            complement = inner.relation.complement(data_domains=domains)
+            complement = self._complement(inner.relation)
             return Answers(complement, inner.temporal_vars, inner.data_vars)
         if isinstance(node, FoExists):
             return self._exists(node.variables, self.evaluate(node.sub))
@@ -188,13 +199,21 @@ class _Context:
             return self.evaluate(rewritten)
         raise TypeError("unexpected formula node %r" % (node,))
 
+    def _complement(self, relation):
+        """The exact complement relative to ``ℤ^m × AD^l``."""
+        domains = [self.active_domain] * relation.data_arity
+        return relation.complement(data_domains=domains)
+
     def _clause(self, conjuncts, temporal, data):
         """The conjunction of ``conjuncts`` as one compiled clause whose
         head columns are ``temporal`` and ``data``.  A head data
         variable no conjunct binds ranges over the active domain; a head
-        temporal variable no conjunct mentions is a carrier column."""
+        temporal variable no conjunct mentions is a carrier column.  A
+        negated conjunct whose data variables the positive conjuncts
+        bind becomes a negated atom (see the module docstring)."""
         body, schemas, env = [], {}, {}
         parts = 0
+        negations = []  # body indexes of atoms over negated answers
         pending = list(conjuncts)
         while pending:
             node = pending.pop(0)
@@ -215,9 +234,12 @@ class _Context:
                 schemas[atom.predicate] = schema
                 env[atom.predicate] = relation
             else:
-                answers = self.evaluate(node)
+                negated = isinstance(node, FoNot)
+                answers = self.evaluate(node.sub if negated else node)
                 name = _PART % parts
                 parts += 1
+                if negated:
+                    negations.append(len(body))
                 body.append(
                     PredicateAtom(
                         name,
@@ -227,6 +249,16 @@ class _Context:
                 )
                 schemas[name] = (len(answers.temporal_vars), len(answers.data_vars))
                 env[name] = answers.relation
+        bound = set()
+        for index, atom in enumerate(body):
+            if isinstance(atom, PredicateAtom) and index not in negations:
+                bound |= atom.data_variables()
+        for index in negations:
+            atom = body[index]
+            if atom.data_variables() <= bound:
+                body[index] = NegatedAtom(atom)
+            else:
+                env[atom.predicate] = self._complement(env[atom.predicate])
         bound = set()
         for atom in body:
             if isinstance(atom, PredicateAtom):
@@ -249,7 +281,12 @@ class _Context:
         plan = ClausePlan(
             normalize_clause(Clause(head, tuple(body))), schemas, frozenset()
         )
-        return Answers(plan.evaluate(env), tuple(temporal), tuple(data))
+        complements = {
+            name: self._complement(env[name]) for name in plan.negated_predicates
+        }
+        return Answers(
+            plan.evaluate(env, complements=complements), tuple(temporal), tuple(data)
+        )
 
     def _exists(self, names, inner):
         keep_t = [

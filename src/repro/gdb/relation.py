@@ -404,11 +404,13 @@ class GeneralizedRelation:
                 ]
             vectors = list(itertools.product(*data_domains))
         carriers = tuple(Lrp.constant_carrier() for _ in range(self.temporal_arity))
+        by_vector = {}  # one scan; each group keeps the relation's order
+        for gt in self.tuples:
+            by_vector.setdefault(gt.data, []).append(gt)
         result = []
         for vector in vectors:
             universe = GeneralizedTuple(carriers, vector)
-            matching = [gt for gt in self.tuples if gt.data == vector]
-            result.extend(universe.subtract(matching))
+            result.extend(universe.subtract(by_vector.get(vector, ())))
         return GeneralizedRelation(self.temporal_arity, self.data_arity, result)
 
     # -- comparison ------------------------------------------------------------------

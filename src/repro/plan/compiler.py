@@ -20,8 +20,13 @@ Compilation performs, per variant:
   atom, and every constraint atom is conjoined at the earliest step
   where all its columns are bound (carrier columns count as bindable
   on demand);
-* **negation as anti-join** — negated atoms join the predicate's
-  exact complement, after all positive atoms;
+* **negation as anti-join** — once the positive atoms have run, a
+  negated atom whose temporal variables are all bound, or pinned by
+  equalities to bound columns, becomes an :class:`AntiJoinStep` that
+  subtracts each working-set tuple's overlap with the predicate's
+  relation.  A negated atom with a temporal variable nothing pins
+  (``p(t) <- a(t), not q(t, u)`` reads ∃u ¬q) keeps the exact
+  complement instead: it is a complement join, after the anti-joins;
 * **fused projection** — the head projection (with head data
   constants woven in) is part of the plan, not a separate pass.
 """
@@ -29,7 +34,13 @@ Compilation performs, per variant:
 from __future__ import annotations
 
 from repro.constraints.atoms import Comparison, TemporalTerm as ConstraintTerm
-from repro.plan.operators import CarrierStep, JoinStep, PlanVariant, Projection
+from repro.plan.operators import (
+    AntiJoinStep,
+    CarrierStep,
+    JoinStep,
+    PlanVariant,
+    Projection,
+)
 from repro.util.errors import SchemaError
 from repro.util.hooks import fault_point
 
@@ -67,6 +78,57 @@ def _constraint_variables(constraint):
     )
 
 
+def _temporal_variables(atom):
+    return {term.var for term in atom.temporal_args}
+
+
+def _antijoin_indexes(normalized):
+    """Indexes of the negated atoms that compile to anti-joins.
+
+    A negated atom qualifies when every data variable is bound by a
+    positive atom and every temporal variable is bound by one or pinned
+    to one by a chain of equalities ``v = w + c``.  The chain may not
+    pass through a variable of a negated atom that keeps its complement:
+    that atom binds its columns only after the anti-joins have run."""
+    positive_vars, positive_data = set(), set()
+    for atom in normalized.body_atoms:
+        positive_vars |= _temporal_variables(atom)
+        positive_data |= atom.data_variables()
+    links = [
+        (constraint.left.var, constraint.right.var)
+        for constraint in normalized.constraints
+        if constraint.op == "="
+        and constraint.left.var is not None
+        and constraint.right.var is not None
+    ]
+    negated = normalized.negated_atoms
+    candidates = {
+        k for k, atom in enumerate(negated)
+        if atom.data_variables() <= positive_data
+    }
+    while True:
+        blocked = set()
+        for k, atom in enumerate(negated):
+            if k not in candidates:
+                blocked |= _temporal_variables(atom)
+        resolved = set(positive_vars)
+        grew = True
+        while grew:
+            grew = False
+            for left, right in links:
+                for v, w in ((left, right), (right, left)):
+                    if w in resolved and v not in resolved and v not in blocked:
+                        resolved.add(v)
+                        grew = True
+        kept = {
+            k for k in candidates
+            if _temporal_variables(negated[k]) <= resolved
+        }
+        if kept == candidates:
+            return frozenset(kept)
+        candidates = kept
+
+
 def compile_variant(normalized, seed_position=None):
     """Compile one pipeline for the clause; with ``seed_position`` set,
     the body atom at that position is joined first (semi-naive delta
@@ -76,9 +138,18 @@ def compile_variant(normalized, seed_position=None):
         for constraint in normalized.constraints
     ]
     placed = [False] * len(pending)
+    anti = _antijoin_indexes(normalized)
+    # Columns a join binds: every positive atom's, and the columns of
+    # the negated atoms that keep their complement.  An anti-joined
+    # atom's variables are ``deferred`` instead: each is resolved by its
+    # pinning equality (as an alias or a carrier) once the pin's other
+    # side is, and constraints mentioning it wait until then.
     atom_bound = set()
-    for atom in tuple(normalized.body_atoms) + tuple(normalized.negated_atoms):
-        atom_bound |= {term.var for term in atom.temporal_args}
+    deferred = set()
+    for atom in normalized.body_atoms:
+        atom_bound |= _temporal_variables(atom)
+    for k, atom in enumerate(normalized.negated_atoms):
+        (deferred if k in anti else atom_bound).update(_temporal_variables(atom))
     all_vars = normalized.all_temporal_variables()
 
     columns = []
@@ -136,39 +207,58 @@ def compile_variant(normalized, seed_position=None):
             return True
         return False
 
+    def waits(k, v):
+        """Whether variable ``v`` keeps constraint ``k`` unplaceable."""
+        if v in bound or v in aliases:
+            return False
+        if v in atom_bound:
+            return True
+        if v not in deferred:
+            return False
+        # A deferred variable is placeable only through its pin.
+        constraint = pending[k][0]
+        if constraint.op != "=":
+            return True
+        left, right = constraint.left.var, constraint.right.var
+        other = right if left == v else left
+        return other is None or not resolved(other)
+
     def ready_indices():
         return [
             k
             for k in range(len(pending))
-            if not placed[k]
-            and all(v in bound or v not in atom_bound for v in pending[k][1])
+            if not placed[k] and not any(waits(k, v) for v in pending[k][1])
         ]
 
     def settle(join_step):
         """Place every constraint that became placeable: alias-eliminate
         equality-pinned carrier variables, attach the fully-resolved
         constraints to the join just emitted, and materialize the
-        carrier columns the rest need."""
-        progress = True
-        while progress:  # alias chains: v = u + c, w = v + d
-            progress = False
-            for k in ready_indices():
-                if try_alias(k):
-                    progress = True
-        ready = ready_indices()
-        if not ready:
-            return
-        attach = [k for k in ready if all(resolved(v) for v in pending[k][1])]
-        carry = [k for k in ready if k not in attach]
-        if attach and join_step is not None:
-            join_step.atoms = join_step.atoms + tuple(
-                _lower_constraint(pending[k][0], position_of, aliases)
-                for k in attach
-            )
-            for k in attach:
-                placed[k] = True
-            attach = []
-        if carry or attach:
+        carrier columns the rest need.  A materialized carrier can
+        resolve a deferred variable's pin, so this repeats until
+        nothing more is placeable."""
+        while True:
+            progress = True
+            while progress:  # alias chains: v = u + c, w = v + d
+                progress = False
+                for k in ready_indices():
+                    if try_alias(k):
+                        progress = True
+            ready = ready_indices()
+            if not ready:
+                return
+            attach = [k for k in ready if all(resolved(v) for v in pending[k][1])]
+            carry = [k for k in ready if k not in attach]
+            if attach and join_step is not None:
+                join_step.atoms = join_step.atoms + tuple(
+                    _lower_constraint(pending[k][0], position_of, aliases)
+                    for k in attach
+                )
+                for k in attach:
+                    placed[k] = True
+                attach = []
+            if not (carry or attach):
+                return
             needed = [
                 name
                 for name in all_vars
@@ -184,34 +274,41 @@ def compile_variant(normalized, seed_position=None):
             steps.append(CarrierStep(needed, atoms))
             for k in attach + carry:
                 placed[k] = True
+            join_step = None  # later constraints read the new columns
 
-    def emit_join(position, atom, negated):
-        data_base = len(data_names)
+    def data_selections(atom):
+        """Split an atom's data arguments into constant selections,
+        within-atom equalities, matches against already-bound data
+        columns, and the names of the variables it binds first (None
+        per column that binds nothing)."""
         names = []
         seen = {}
         const_sels = []
         eq_sels = []
         match_pairs = []
         for index, term in enumerate(atom.data_args):
+            names.append(None)
             if not term.is_variable():
                 const_sels.append((index, term.value))
-                names.append(None)
-                continue
-            if term.name in seen:
+            elif term.name in seen:
                 eq_sels.append((seen[term.name], index))
-                names.append(None)
-                continue
-            seen[term.name] = index
-            if term.name in first_data:
+            elif term.name in first_data:
+                seen[term.name] = index
                 match_pairs.append((first_data[term.name], index))
-                names.append(None)
             else:
-                first_data[term.name] = data_base + index
-                names.append(term.name)
+                seen[term.name] = index
+                names[index] = term.name
+        return names, const_sels, eq_sels, match_pairs
+
+    def emit_join(position, atom, complement):
+        names, const_sels, eq_sels, match_pairs = data_selections(atom)
+        for index, name in enumerate(names):
+            if name is not None:
+                first_data[name] = len(data_names) + index
         step = JoinStep(
             position,
             atom.predicate,
-            negated,
+            complement,
             [term.var for term in atom.temporal_args],
             names,
             const_sels,
@@ -223,6 +320,36 @@ def compile_variant(normalized, seed_position=None):
         steps.append(step)
         settle(step)
 
+    def emit_antijoin(atom):
+        """Subtract the atom's matches: its columns are linked to the
+        working-set columns that bind (or, through an alias, pin) them."""
+        names, const_sels, eq_sels, match_pairs = data_selections(atom)
+        assert not any(names), "anti-join %s binds data variables" % (atom,)
+        width = len(columns)
+        links = []
+        for index, term in enumerate(atom.temporal_args):
+            base, offset = aliases.get(term.var, (term.var, 0))
+            assert base in bound, "anti-join %s: %s is unresolved" % (atom, term.var)
+            links.append(
+                Comparison(
+                    "=",
+                    ConstraintTerm(width + index, 0),
+                    ConstraintTerm(position_of[base], offset),
+                )
+            )
+        steps.append(
+            AntiJoinStep(
+                atom.predicate,
+                [term.var for term in atom.temporal_args],
+                const_sels,
+                eq_sels,
+                match_pairs,
+                links,
+                width,
+                len(data_names),
+            )
+        )
+
     def score(position, atom):
         would_bound = bound | {term.var for term in atom.temporal_args}
         gain = sum(
@@ -230,7 +357,8 @@ def compile_variant(normalized, seed_position=None):
             for k in range(len(pending))
             if not placed[k]
             and all(
-                v in would_bound or v not in atom_bound for v in pending[k][1]
+                v in would_bound or (v not in atom_bound and v not in deferred)
+                for v in pending[k][1]
             )
         )
         shared = restrictions = 0
@@ -260,8 +388,12 @@ def compile_variant(normalized, seed_position=None):
         best = max(remaining, key=lambda entry: score(*entry))
         remaining.remove(best)
         emit_join(best[0], best[1], False)
-    for atom in normalized.negated_atoms:
-        emit_join(None, atom, True)
+    for k, atom in enumerate(normalized.negated_atoms):
+        if k in anti:
+            emit_antijoin(atom)
+    for k, atom in enumerate(normalized.negated_atoms):
+        if k not in anti:
+            emit_join(None, atom, True)
 
     missing = [
         name for name in all_vars if name not in bound and name not in aliases
@@ -308,12 +440,16 @@ class ClausePlan:
         self.normalized = normalized
         self.schemas = schemas
         self.head_predicate = normalized.head_predicate
-        self.negated_predicates = {
-            atom.predicate for atom in normalized.negated_atoms
-        }
         fault_point("compile")
         self._validate()
         self.variants = {None: compile_variant(normalized)}
+        # Only complement joins read a complement; anti-joins read the
+        # predicate's relation itself.
+        self.negated_predicates = {
+            step.predicate
+            for step in self.variants[None].steps
+            if type(step) is JoinStep and step.complement
+        }
         for position, atom in enumerate(normalized.body_atoms):
             if atom.predicate in intensional:
                 self.variants[position] = compile_variant(normalized, position)
@@ -373,7 +509,7 @@ class ClausePlan:
                 variant = self.maintenance_variant(delta_position)
 
         def relation_for(step):
-            if step.negated:
+            if step.complement:
                 return complements[step.predicate]
             if delta is not None and step.position == delta_position:
                 return delta.get(step.predicate)

@@ -14,11 +14,20 @@ import hashlib
 from repro.plan.operators import CarrierStep
 
 
+#: How each join-like operator prefixes its source predicate (``~``
+#: marks a complement).
+_KINDS = {
+    "join": "scan",
+    "anti-join": "anti-join",
+    "complement-join": "complement-join ~",
+}
+
+
 def _format_step(step, number):
     if isinstance(step, CarrierStep):
         line = "%d. carriers [%s]" % (number, ", ".join(step.names))
     else:
-        kind = "anti-join ~" if step.negated else "scan"
+        kind = _KINDS[step.op]
         line = "%d. %s %s -> [%s]" % (
             number,
             kind,

@@ -15,8 +15,9 @@ rewritten program plus *magic relations*:
    dependency graph are dropped wholesale
    (:func:`repro.core.stratify.reachable_predicates`).
 2. **Negation cone** — predicates reachable through a negated atom
-   must be computed *exactly* (their complement is taken), so their
-   downward closure stays unguarded; everything else is *restricted*.
+   must be computed *exactly* (an anti-join subtracts them, or their
+   complement is taken), so their downward closure stays unguarded;
+   everything else is *restricted*.
 3. **Adornment** — one demand predicate ``_m__p`` per restricted
    ``p``; its bound data columns are the meet (intersection) over all
    body occurrences of ``p`` of the columns resolvable sideways from
@@ -428,8 +429,9 @@ def rewrite_for_goal(
 
     idb = program.intensional_predicates()
     reachable = reachable_predicates(program, [goal.predicate])
-    # Predicates whose complement is taken anywhere in the cone must be
-    # computed exactly: their downward closure stays unguarded.
+    # Predicates negated anywhere in the cone (subtracted or
+    # complemented) must be computed exactly: their downward closure
+    # stays unguarded.
     negated_roots = set()
     for clause in program.clauses:
         if clause.head.predicate not in reachable:

@@ -4,13 +4,18 @@ A compiled variant is a linear pipeline of steps over a growing
 working set of :class:`~repro.gdb.tuple.GeneralizedTuple`:
 
 * :class:`JoinStep` joins the working set with one body atom's
-  relation (or, for negated atoms, with the predicate's exact
-  complement — negation as anti-join).  Within-atom data-constant and
-  data-equality selections are applied to the source relation first
-  (and cached per source relation), cross-atom data-variable sharing
-  is enforced through hash buckets, and every constraint atom whose
-  columns are bound by this step is conjoined into the pair's zone in
-  the same single closure (:meth:`GeneralizedTuple.joined`).
+  relation.  Within-atom data-constant and data-equality selections
+  are applied to the source relation first (and cached per source
+  relation), cross-atom data-variable sharing is enforced through hash
+  buckets, and every constraint atom whose columns are bound by this
+  step is conjoined into the pair's zone in the same single closure
+  (:meth:`GeneralizedTuple.joined`).  A negated atom with a temporal
+  variable nothing binds joins the predicate's exact complement the
+  same way (a *complement join*).
+* :class:`AntiJoinStep` evaluates every other negated atom: each
+  working-set tuple loses the points where it overlaps the
+  predicate's relation (:meth:`GeneralizedTuple.subtract`), so only
+  real overlaps are computed and no complement is built.
 * :class:`CarrierStep` appends unconstrained carrier columns for
   temporal variables no atom binds (head constants and offsets,
   constraint-only variables) and conjoins the constraint atoms that
@@ -38,12 +43,13 @@ _UNIT = GeneralizedTuple((), ())
 
 
 class JoinStep:
-    """Join the working set with one source atom's relation."""
+    """Join the working set with one source atom's relation (with the
+    predicate's complement when ``complement`` is set)."""
 
     __slots__ = (
         "position",
         "predicate",
-        "negated",
+        "complement",
         "temporal_vars",
         "data_names",
         "const_sels",
@@ -53,11 +59,11 @@ class JoinStep:
         "_cache",
     )
 
-    def __init__(self, position, predicate, negated, temporal_vars, data_names,
+    def __init__(self, position, predicate, complement, temporal_vars, data_names,
                  const_sels, eq_sels, match_pairs):
         self.position = position          # body position; None for negated atoms
         self.predicate = predicate
-        self.negated = negated
+        self.complement = complement
         self.temporal_vars = tuple(temporal_vars)
         self.data_names = tuple(data_names)
         self.const_sels = tuple(const_sels)    # (local data col, value)
@@ -65,6 +71,11 @@ class JoinStep:
         self.match_pairs = tuple(match_pairs)  # (global bound col, local col)
         self.atoms = ()                        # Comparisons, combined column space
         self._cache = None                     # (source relation, restricted tuples)
+
+    @property
+    def op(self):
+        """The operator name in ``plan.operator`` events."""
+        return "complement-join" if self.complement else "join"
 
     @property
     def fast_path(self):
@@ -116,22 +127,78 @@ class JoinStep:
                 return tuples if type(tuples) is list else list(tuples)
             refined = kernel.select_batch(tuples, self.atoms, stats)
             return [gt for gt in refined if gt is not None]
-        if self.match_pairs:
-            local_cols = [local for (_, local) in self.match_pairs]
-            buckets = {}
-            for b in tuples:
-                key = tuple(b.data[c] for c in local_cols)
-                buckets.setdefault(key, []).append(b)
-            bound_cols = [bound for (bound, _) in self.match_pairs]
-            pairs = []
-            for a in current:
-                key = tuple(a.data[c] for c in bound_cols)
-                for b in buckets.get(key, ()):
-                    pairs.append((a, b))
-        else:
-            pairs = [(a, b) for a in current for b in tuples]
+        partners = self.partners(tuples)
+        pairs = [(a, b) for a in current for b in partners(a)]
         joined = kernel.join_batch(pairs, self.atoms, stats)
         return [gt for gt in joined if gt is not None]
+
+    def partners(self, tuples):
+        """A function from a working-set tuple to the source tuples that
+        agree with it on the shared data variables (hash buckets), or
+        to all of ``tuples`` when no data variable is shared."""
+        if not self.match_pairs:
+            return lambda a: tuples
+        local_cols = [local for (_, local) in self.match_pairs]
+        buckets = {}
+        for b in tuples:
+            key = tuple(b.data[c] for c in local_cols)
+            buckets.setdefault(key, []).append(b)
+        bound_cols = [bound for (bound, _) in self.match_pairs]
+        return lambda a: buckets.get(tuple(a.data[c] for c in bound_cols), ())
+
+
+class AntiJoinStep(JoinStep):
+    """Subtract a negated atom's matches from the working set.
+
+    Every temporal column of the atom is linked by an equality (in
+    ``atoms``) to the working-set column that binds or pins it, and
+    every data variable is already bound (``match_pairs``).  Each
+    working-set tuple ``a`` is joined with its partner source tuples,
+    the overlaps are projected back onto ``a``'s own columns, and ``a``
+    is replaced by ``a.subtract(overlaps)`` — kept whole when nothing
+    overlaps.  The working set's columns do not change."""
+
+    __slots__ = ("keep_temporal", "keep_data")
+
+    op = "anti-join"
+
+    def __init__(self, predicate, temporal_vars, const_sels, eq_sels,
+                 match_pairs, links, width, data_width):
+        JoinStep.__init__(
+            self, None, predicate, False, temporal_vars, (),
+            const_sels, eq_sels, match_pairs,
+        )
+        self.atoms = tuple(links)
+        self.keep_temporal = tuple(range(width))
+        self.keep_data = tuple(range(data_width))
+
+    def apply(self, current, relation, stats=None):
+        """The working set minus the source relation's points."""
+        tuples = self.source_tuples(relation)
+        if not tuples:
+            return current
+        partners = self.partners(tuples)
+        owners, pairs = [], []
+        for index, a in enumerate(current):
+            for b in partners(a):
+                owners.append(index)
+                pairs.append((a, b))
+        joined = kernel.join_batch(pairs, self.atoms, stats)
+        hits = [(owner, gt) for owner, gt in zip(owners, joined) if gt is not None]
+        projected = kernel.project_batch(
+            [gt for _, gt in hits], self.keep_temporal, self.keep_data, (), stats
+        )
+        overlaps = {}
+        for (owner, _), pieces in zip(hits, projected):
+            overlaps.setdefault(owner, []).extend(pieces)
+        result = []
+        for index, a in enumerate(current):
+            found = overlaps.get(index)
+            if found:
+                result.extend(a.subtract(found))
+            else:
+                result.append(a)
+        return result
 
 
 class CarrierStep:
@@ -233,7 +300,9 @@ class PlanVariant:
     def execute(self, relation_for):
         """Run the pipeline; ``relation_for(step)`` resolves each
         JoinStep's source relation (env / delta / complement), or None
-        for an absent predicate."""
+        for an absent predicate.  A missing or empty source empties the
+        working set, except under an anti-join, which then removes
+        nothing."""
         if hooks.SINKS:
             return self._execute_observed(relation_for)
         empty = GeneralizedRelation.empty(*self.projection.head_schema)
@@ -244,6 +313,8 @@ class PlanVariant:
             else:
                 relation = relation_for(step)
                 if relation is None or not relation.tuples:
+                    if type(step) is AntiJoinStep:
+                        continue  # nothing to subtract
                     return empty
                 current = step.apply(current, relation)
             if not current:
@@ -271,16 +342,20 @@ class PlanVariant:
                 fields["op"] = "carrier"
                 current = step.apply(current, batch_stats)
             else:
-                fields["op"] = "anti-join" if step.negated else "join"
+                fields["op"] = step.op
                 fields["predicate"] = step.predicate
                 relation = relation_for(step)
                 if relation is None or not relation.tuples:
+                    kept = type(step) is AntiJoinStep
                     fields.update(
-                        source=0, selected=0, out=0,
+                        source=0, selected=0, out=len(current) if kept else 0,
                         duration_s=time.perf_counter() - started,
                     )
                     hooks.emit("plan.operator", fields)
-                    return empty
+                    if not kept:
+                        return empty
+                    self._emit_batch(step, index, batch_stats)
+                    continue  # nothing to subtract
                 fields["source"] = len(relation.tuples)
                 fields["selected"] = len(step.source_tuples(relation))
                 current = step.apply(current, relation, batch_stats)
@@ -314,7 +389,7 @@ class PlanVariant:
         tuples the batch kernel saw and how many rode a memoized
         template, plus the join fast path taken (``carrier`` /
         ``projection`` for the non-join steps)."""
-        if type(step) is JoinStep:
+        if isinstance(step, JoinStep):
             fast_path = step.fast_path
         elif type(step) is CarrierStep:
             fast_path = "carrier"

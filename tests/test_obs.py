@@ -243,7 +243,9 @@ class TestEngineTrace:
         rows = collector.table()
         assert rows
         for row in rows:
-            assert row["op"] in {"join", "anti-join", "carrier", "projection"}
+            assert row["op"] in {
+                "join", "anti-join", "complement-join", "carrier", "projection"
+            }
             assert row["invocations"] >= 1
             assert row["output_tuples"] >= 0
             assert row["seconds"] >= 0.0

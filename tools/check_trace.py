@@ -51,7 +51,7 @@ PHASE_FIELDS = {
     ("service.job", "outcome"): ("state", "outcome", "attempts"),
 }
 
-OPERATORS = {"join", "anti-join", "carrier", "projection"}
+OPERATORS = {"join", "anti-join", "complement-join", "carrier", "projection"}
 
 #: legal fast_path values on kernel.batch events.
 FAST_PATHS = {"hash", "fused-closure", "product", "carrier", "projection"}
