@@ -541,30 +541,7 @@ class ConstraintTable:
 
 CONSTRAINT_TABLE = ConstraintTable()
 
-_BATCH_UNSET = object()
-
 
 def intern_dbm(zone):
     """The shared canonical instance for ``zone`` (see ConstraintTable)."""
     return CONSTRAINT_TABLE.intern(zone)
-
-
-def canonicalize_batch(zones):
-    """Canonicalize a batch of zones with one closure per distinct zone.
-
-    Returns a list aligned with ``zones``: the interned canonical
-    instance for each satisfiable entry, ``None`` for unsatisfiable
-    ones.  Entries that are structurally identical before closure are
-    closed only once — the batch form of the per-tuple
-    canonicalize/intersect/canonicalize pattern in the plan layer.
-    """
-    out = [None] * len(zones)
-    distinct = {}
-    for index, zone in enumerate(zones):
-        pre = (zone.size,) + tuple(map(tuple, zone._m))
-        cached = distinct.get(pre, _BATCH_UNSET)
-        if cached is _BATCH_UNSET:
-            cached = CONSTRAINT_TABLE.intern(zone) if zone.close() else None
-            distinct[pre] = cached
-        out[index] = cached
-    return out

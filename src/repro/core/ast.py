@@ -20,6 +20,7 @@ finite set of clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.util.errors import SchemaError
 
@@ -192,6 +193,9 @@ class Program:
     Predicates occurring in some head are *intensional* (IDB); all
     other predicates mentioned in bodies are *extensional* (EDB) and
     must be supplied by a generalized database at evaluation time.
+
+    Its text, schemas, intensional predicates and validation are
+    computed once per object, on first use; one that raises is not kept.
     """
 
     clauses: tuple
@@ -199,25 +203,21 @@ class Program:
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(self.clauses))
 
+    @cached_property
+    def _intensional(self):
+        return frozenset(clause.head.predicate for clause in self.clauses)
+
     def intensional_predicates(self):
         """Names of predicates defined by this program."""
-        return {clause.head.predicate for clause in self.clauses}
+        return set(self._intensional)
 
     def extensional_predicates(self):
-        """Names of predicates the program expects from the EDB."""
-        idb = self.intensional_predicates()
-        edb = set()
-        for clause in self.clauses:
-            atoms = clause.predicate_atoms()
-            atoms += [negated.atom for negated in clause.negated_atoms()]
-            for atom in atoms:
-                if atom.predicate not in idb:
-                    edb.add(atom.predicate)
-        return edb
+        """Names of predicates the program expects from the EDB (raises
+        SchemaError on inconsistent arities, as :meth:`schemas` does)."""
+        return set(self._schemas) - self._intensional
 
-    def schemas(self):
-        """Inferred ``name -> (temporal_arity, data_arity)`` for every
-        predicate; raises SchemaError on inconsistent use."""
+    @cached_property
+    def _schemas(self):
         inferred = {}
         for clause in self.clauses:
             atoms = [clause.head] + clause.predicate_atoms()
@@ -232,15 +232,18 @@ class Program:
                     )
         return inferred
 
+    def schemas(self):
+        """Inferred ``name -> (temporal_arity, data_arity)`` for every
+        predicate; raises SchemaError on inconsistent use."""
+        return dict(self._schemas)
+
     def clauses_for(self, predicate):
         """The clauses whose head predicate is ``predicate``."""
         return [c for c in self.clauses if c.head.predicate == predicate]
 
-    def validate(self):
-        """Static checks: consistent arities; head data variables and
-        data variables of negated atoms must be range restricted
-        (bound by a positive body predicate atom)."""
-        self.schemas()
+    @cached_property
+    def _validated(self):
+        self._schemas
         for clause in self.clauses:
             bound = set()
             for atom in clause.predicate_atoms():
@@ -259,10 +262,21 @@ class Program:
                         "are not bound by a positive body atom"
                         % (clause, ", ".join(sorted(loose)))
                     )
+        return True
+
+    def validate(self):
+        """Static checks: consistent arities; head data variables and
+        data variables of negated atoms must be range restricted
+        (bound by a positive body predicate atom)."""
+        self._validated
         return self
 
-    def __str__(self):
+    @cached_property
+    def _text(self):
         return "\n".join(str(clause) for clause in self.clauses)
+
+    def __str__(self):
+        return self._text
 
     def __iter__(self):
         return iter(self.clauses)

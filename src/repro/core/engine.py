@@ -387,20 +387,22 @@ class DeductiveEngine:
         """
         from repro.plan.magic import DEFAULT_WIDEN_DELAY, goal_directed_model
 
-        return goal_directed_model(
-            self.program,
-            self.edb,
-            goal,
-            evaluation=self.evaluator.evaluation,
+        if widen_delay is None:
+            widen_delay = DEFAULT_WIDEN_DELAY
+        return goal_directed_model(self, goal, budget=budget, widen_delay=widen_delay)
+
+    def over(self, program, edb):
+        """A new engine over ``program`` and ``edb`` with this engine's
+        settings (the goal-directed path's guarded engine)."""
+        return DeductiveEngine(
+            program,
+            edb,
             strategy=self.strategy,
             safety=self.safety,
             max_rounds=self.max_rounds,
             patience=self.patience,
             on_give_up=self.on_give_up,
-            budget=budget,
-            widen_delay=(
-                DEFAULT_WIDEN_DELAY if widen_delay is None else widen_delay
-            ),
+            evaluation=self.evaluator.evaluation,
         )
 
     def maintain(self, relations, delta=None, budget=None):

@@ -16,8 +16,10 @@ Plans are compiled once per content key per process, not once per
 evaluators, strata, and the stratum layout as clause indexes — is kept
 in :data:`repro.plan.memo.PROGRAMS` under ``(str(program), schemas,
 evaluation)``, so a second evaluator over the same program text reuses
-the first one's plans.  Validation and the EDB arity check still run
-on every construction.
+the first one's plans.  The program is validated once per
+:class:`~repro.core.ast.Program` object (its text and schemas are
+computed once too); the EDB arity check still runs on every
+construction.
 
 Both the naive strategy (recompute every clause against the full
 interpretation) and the semi-naive strategy (fire a clause once per
@@ -111,7 +113,7 @@ class ProgramEvaluator:
         self.program = program
         self.edb = edb
         self.evaluation = evaluation
-        self.schemas = dict(program.schemas())
+        self.schemas = program.schemas()
         self.intensional = program.intensional_predicates()
         for name in program.extensional_predicates():
             schema = edb.schema(name)

@@ -153,21 +153,6 @@ class CoverageChecker:
         return fresh
 
 
-def is_constraint_safe(derived, env, mode="paper"):
-    """True when every derived tuple is covered by the environment —
-    the stopping condition of Theorem 4.3.  The relation's tuple
-    sequence is snapshotted once per predicate (one sweep), not per
-    derived tuple."""
-    test = coverage_test(mode)
-    for predicate, tuples in derived.items():
-        relation = env[predicate]
-        snapshot = relation.tuples
-        for gt in tuples:
-            if not test(gt, relation, snapshot):
-                return False
-    return True
-
-
 def is_free_extension_safe(evaluator, env):
     """The paper-literal free-extension safety test (Theorem 4.2):
     apply one T_GP round to the *freed* environment and check that no

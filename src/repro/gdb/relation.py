@@ -288,75 +288,6 @@ class GeneralizedRelation:
             )
         return GeneralizedRelation(len(keep_temporal), len(keep_data), result)
 
-    def join(self, other, temporal_pairs=(), data_pairs=()):
-        """Natural join: equality on the given column pairs (left
-        index, right index — both 0-based within their relation), the
-        right-hand join columns projected away.
-
-        Executed as a fused hash join rather than the literal
-        product-select-project: matching data tuples are found through
-        the right side's data hash index, and the temporal equalities
-        are conjoined into each candidate pair's zone in a single
-        closure (empty pairs never materialize).
-
-        >>> left = GeneralizedRelation.universe(1)
-        >>> right = GeneralizedRelation.universe(1)
-        >>> left.join(right, temporal_pairs=[(0, 0)]).temporal_arity
-        1
-        """
-        from repro.constraints.atoms import Comparison, TemporalTerm
-
-        atoms = [
-            Comparison(
-                "=",
-                TemporalTerm(left),
-                TemporalTerm(self.temporal_arity + right),
-            )
-            for (left, right) in temporal_pairs
-        ]
-        drop_temporal = {self.temporal_arity + right for (_, right) in temporal_pairs}
-        drop_data = {self.data_arity + right for (_, right) in data_pairs}
-        keep_temporal = [
-            k
-            for k in range(self.temporal_arity + other.temporal_arity)
-            if k not in drop_temporal
-        ]
-        keep_data = [
-            k
-            for k in range(self.data_arity + other.data_arity)
-            if k not in drop_data
-        ]
-        if data_pairs:
-            left_cols = [left for (left, _) in data_pairs]
-            if len(data_pairs) == 1:
-                index = other.data_index(data_pairs[0][1])
-                buckets = {value: [other.tuples[k] for k in positions]
-                           for value, positions in index.items()}
-            else:
-                buckets = {}
-                right_cols = [right for (_, right) in data_pairs]
-                for gt in other.tuples:
-                    key = tuple(gt.data[c] for c in right_cols)
-                    buckets.setdefault(key, []).append(gt)
-
-            def candidates(a):
-                key = tuple(a.data[c] for c in left_cols)
-                return buckets.get(key[0] if len(key) == 1 else key, ())
-        else:
-            def candidates(a):
-                return other.tuples
-
-        result = []
-        for a in self.tuples:
-            for b in candidates(a):
-                joined = a.joined(b, atoms)
-                if joined is None:
-                    continue
-                result.extend(joined.project(keep_temporal, keep_data))
-        return GeneralizedRelation._trusted(
-            len(keep_temporal), len(keep_data), result
-        )
-
     def product(self, other):
         """Cartesian product (columns concatenated)."""
         tuples = [a.product(b) for a in self.tuples for b in other.tuples]

@@ -47,8 +47,11 @@ rewritten program plus *magic relations*:
 :func:`goal_directed_model` wraps the rewrite around a
 :class:`~repro.core.engine.DeductiveEngine` run and falls back to the
 full fixpoint — recording the ``magic_degraded`` rung — whenever the
-rewrite cannot apply.  It computes each distinct rewrite once per
-process (:func:`cached_rewrite`); the fixpoint itself runs every time.
+rewrite cannot apply.  Steps 1–3 and 5 depend only on the program, the
+goal predicate and its bound data columns, so they run once per such
+triple per process (:data:`repro.plan.memo.REWRITES`); the demand
+fixpoint, the demand relations and the guarded run happen for every
+goal.
 """
 
 from __future__ import annotations
@@ -395,19 +398,11 @@ class MagicRewrite:
         }
 
 
-def rewrite_for_goal(
-    program,
-    goal,
-    widen_delay=DEFAULT_WIDEN_DELAY,
-    max_demand_steps=DEFAULT_DEMAND_STEPS,
-):
-    """Rewrite ``program`` for goal-directed evaluation of ``goal``.
-
-    Raises :class:`MagicUnsupportedError` when the rewrite cannot apply
-    (unknown goal predicate, demand fixpoint divergence past the hard
-    cap, or a rewritten program that fails to stratify); callers fall
-    back to the full fixpoint.
-    """
+def _adorn_program(program, goal):
+    """The part of the rewrite that depends only on the program,
+    ``goal``'s predicate and its bound data columns (the rest of
+    ``goal`` only names it in error messages): the goal-independent
+    :class:`MagicRewrite` fields, and the demand rules by head."""
     schemas = program.schemas()
     if goal.predicate not in schemas:
         raise MagicUnsupportedError(
@@ -419,8 +414,8 @@ def rewrite_for_goal(
                 "program already uses the demand prefix %r (%s)"
                 % (DEMAND_PREFIX, predicate)
             )
-    temporal_arity, data_arity = schemas[goal.predicate]
-    for column, _value in goal.data:
+    _temporal_arity, data_arity = schemas[goal.predicate]
+    for column in goal.bound_data_columns():
         if not 0 <= column < data_arity:
             raise MagicUnsupportedError(
                 "goal binds data column %d of %r, which has data arity %d"
@@ -449,6 +444,82 @@ def rewrite_for_goal(
     for rule in rules:
         rules_by_head.setdefault(rule.head, []).append(rule)
 
+    clauses = []
+    dropped = 0
+    for normalized in normalized_clauses:
+        head = normalized.head_predicate
+        if head not in reachable:
+            dropped += 1
+            continue
+        if head not in restricted:
+            clauses.append(normalized.original)
+            continue
+        guard = PredicateAtom(
+            magic_predicate(head),
+            tuple(TemporalTerm(name) for name in normalized.head_vars),
+            tuple(normalized.head_data[column] for column in bound_columns[head]),
+        )
+        guarded = NormalizedClause(
+            head_predicate=normalized.head_predicate,
+            head_vars=normalized.head_vars,
+            head_data=normalized.head_data,
+            body_atoms=(guard,) + normalized.body_atoms,
+            constraints=normalized.constraints,
+            original=normalized.original,
+            negated_atoms=normalized.negated_atoms,
+        )
+        clauses.append(denormalize(guarded))
+    rewritten = Program(tuple(clauses))
+    try:
+        rewritten.validate()
+        stratify(rewritten)
+    except SchemaError as error:
+        raise MagicUnsupportedError(
+            "rewritten program for %s does not stratify: %s" % (goal, error)
+        ) from error
+    shared = dict(
+        program=rewritten,
+        bound_columns={
+            predicate: bound_columns[predicate] for predicate in restricted
+        },
+        reachable=frozenset(reachable),
+        restricted=restricted,
+        unrestricted=frozenset(unrestricted),
+        dropped_clauses=dropped,
+        demand_rules=len(rules),
+    )
+    return shared, rules_by_head
+
+
+def rewrite_for_goal(
+    program,
+    goal,
+    widen_delay=DEFAULT_WIDEN_DELAY,
+    max_demand_steps=DEFAULT_DEMAND_STEPS,
+):
+    """Rewrite ``program`` for goal-directed evaluation of ``goal``.
+
+    Only the demand fixpoint and the demand relations are computed per
+    goal.  Reachability, the negation cone, the adornment, the demand
+    rules and the guarded program are looked up in
+    :data:`repro.plan.memo.REWRITES` under ``(str(program), goal
+    predicate, bound data columns)``, so goals that differ only in
+    their window or bound constants share one rewritten program, which
+    callers read and never mutate.
+
+    Raises :class:`MagicUnsupportedError` when the rewrite cannot apply
+    (unknown goal predicate, demand fixpoint divergence past the hard
+    cap, or a rewritten program that fails to stratify); callers fall
+    back to the full fixpoint.  A failure is not cached.
+    """
+    shared, rules_by_head = memo.REWRITES.lookup(
+        (str(program), goal.predicate, goal.bound_data_columns()),
+        lambda: _adorn_program(program, goal),
+    )
+    schemas = program.schemas()
+    restricted = shared["restricted"]
+    bound_columns = shared["bound_columns"]
+
     # -- demand fixpoint with widening ------------------------------------
     demand = {predicate: {} for predicate in restricted}
     merges = {}
@@ -458,7 +529,7 @@ def rewrite_for_goal(
         goal_key = tuple(
             dict(goal.data)[column] for column in bound_columns[goal.predicate]
         )
-        demand[goal.predicate][goal_key] = goal.zone(temporal_arity)
+        demand[goal.predicate][goal_key] = goal.zone(schemas[goal.predicate][0])
         worklist = [(goal.predicate, goal_key)]
     else:
         worklist = []
@@ -511,55 +582,12 @@ def rewrite_for_goal(
             p_temporal, len(bound_columns[predicate]), tuples
         )
 
-    # -- the guarded program ----------------------------------------------
-    clauses = []
-    dropped = 0
-    for normalized in normalized_clauses:
-        head = normalized.head_predicate
-        if head not in reachable:
-            dropped += 1
-            continue
-        if head not in restricted:
-            clauses.append(normalized.original)
-            continue
-        guard = PredicateAtom(
-            magic_predicate(head),
-            tuple(TemporalTerm(name) for name in normalized.head_vars),
-            tuple(normalized.head_data[column] for column in bound_columns[head]),
-        )
-        guarded = NormalizedClause(
-            head_predicate=normalized.head_predicate,
-            head_vars=normalized.head_vars,
-            head_data=normalized.head_data,
-            body_atoms=(guard,) + normalized.body_atoms,
-            constraints=normalized.constraints,
-            original=normalized.original,
-            negated_atoms=normalized.negated_atoms,
-        )
-        clauses.append(denormalize(guarded))
-    rewritten = Program(tuple(clauses))
-    try:
-        rewritten.validate()
-        stratify(rewritten)
-    except SchemaError as error:
-        raise MagicUnsupportedError(
-            "rewritten program for %s does not stratify: %s" % (goal, error)
-        ) from error
-
     rewrite = MagicRewrite(
         goal=goal,
-        program=rewritten,
         magic_relations=magic_relations,
-        bound_columns={
-            predicate: bound_columns[predicate] for predicate in restricted
-        },
-        reachable=frozenset(reachable),
-        restricted=restricted,
-        unrestricted=frozenset(unrestricted),
-        dropped_clauses=dropped,
-        demand_rules=len(rules),
         demand_steps=steps,
         widenings=widenings,
+        **shared,
     )
     _announce(rewrite)
     return rewrite
@@ -568,7 +596,8 @@ def rewrite_for_goal(
 def _announce(rewrite):
     """The ``magic.rewrite`` event and one ``magic.seed`` per demand
     tuple — emitted for every goal-directed evaluation, whether its
-    rewrite was computed or came from :data:`repro.plan.memo.REWRITES`."""
+    guarded program was built or came from
+    :data:`repro.plan.memo.REWRITES`."""
     if not hooks.SINKS:
         return
     hooks.emit(
@@ -595,34 +624,6 @@ def _announce(rewrite):
                     "data": list(gt.data),
                 },
             )
-
-
-def cached_rewrite(program, goal, widen_delay=DEFAULT_WIDEN_DELAY):
-    """:func:`rewrite_for_goal` through :data:`repro.plan.memo.REWRITES`.
-
-    The rewrite reads only the program and the goal, never the EDB, so
-    the key is the program text, the goal and the rewrite parameters.
-    A :class:`MagicUnsupportedError` propagates and is not cached.  The
-    returned rewrite is shared: callers read it and never mutate it
-    (:meth:`MagicRewrite.augmented_edb` copies the EDB per call).
-    """
-    key = (
-        str(program),
-        goal.predicate,
-        goal.low,
-        goal.high,
-        goal.data,
-        widen_delay,
-        DEFAULT_DEMAND_STEPS,
-    )
-    rewrite = memo.REWRITES.get(key)
-    if rewrite is None:
-        rewrite = memo.REWRITES.put(
-            key, rewrite_for_goal(program, goal, widen_delay=widen_delay)
-        )
-    else:
-        _announce(rewrite)
-    return rewrite
 
 
 def goal_from_formula(formula, idb, window=None):
@@ -705,53 +706,39 @@ def goal_from_formula(formula, idb, window=None):
     return QueryGoal.whole(atom.predicate, data), None
 
 
-def goal_directed_model(
-    program,
-    edb,
-    goal,
-    evaluation="compiled",
-    strategy="semi-naive",
-    safety="paper",
-    max_rounds=500,
-    patience=10,
-    on_give_up="partial",
-    budget=None,
-    widen_delay=DEFAULT_WIDEN_DELAY,
-):
-    """Evaluate ``program`` goal-directedly for ``goal``.
+def goal_directed_model(engine, goal, budget=None, widen_delay=DEFAULT_WIDEN_DELAY):
+    """Evaluate ``engine``'s program goal-directedly for ``goal``.
 
     Returns ``(model, info)``: the model is complete for the goal
     predicate *within the demanded region* (other demanded predicates
     are computed at least as far as the goal needs them), and ``info``
-    summarizes the rewrite — or records the fallback.  When the rewrite
-    cannot apply, the full fixpoint runs instead and both
-    ``info["degraded"]`` and ``model.stats.magic_degraded`` carry the
-    reason (the "magic → full" rung of the degradation ladder).
+    summarizes the rewrite — or records the fallback.  The guarded
+    program runs on an engine with ``engine``'s settings
+    (:meth:`~repro.core.engine.DeductiveEngine.over`).  When the
+    rewrite cannot apply, ``engine`` itself runs the full fixpoint
+    (:func:`degraded_run`, the "magic → full" rung of the degradation
+    ladder).
     """
-    from repro.core.engine import DeductiveEngine
-
-    engine_kwargs = dict(
-        strategy=strategy,
-        safety=safety,
-        max_rounds=max_rounds,
-        patience=patience,
-        on_give_up=on_give_up,
-        evaluation=evaluation,
-    )
     try:
-        rewrite = cached_rewrite(program, goal, widen_delay=widen_delay)
+        rewrite = rewrite_for_goal(engine.program, goal, widen_delay=widen_delay)
     except MagicUnsupportedError as error:
-        info = {"goal": str(goal), "degraded": True, "reason": str(error)}
-        engine = DeductiveEngine(program, edb, **engine_kwargs)
-        model = run_reporting(engine, info, budget)
-        model.stats.magic_degraded = {"reason": str(error), "goal": str(goal)}
-        return model, info
+        return degraded_run(engine, str(error), budget, goal)
     info = rewrite.info()
     info["degraded"] = False
-    engine = DeductiveEngine(
-        rewrite.program, rewrite.augmented_edb(edb), **engine_kwargs
-    )
-    return run_reporting(engine, info, budget), info
+    guarded = engine.over(rewrite.program, rewrite.augmented_edb(engine.edb))
+    return run_reporting(guarded, info, budget), info
+
+
+def degraded_run(engine, reason, budget=None, goal=None):
+    """``engine``'s full fixpoint for a goal-directed request that the
+    rewrite cannot serve.  Returns ``(model, info)``; both
+    ``info["degraded"]`` and ``model.stats.magic_degraded`` carry the
+    reason, and the ``goal`` when there is one."""
+    named = {} if goal is None else {"goal": str(goal)}
+    info = dict(named, degraded=True, reason=reason)
+    model = run_reporting(engine, info, budget)
+    model.stats.magic_degraded = dict(reason=reason, **named)
+    return model, info
 
 
 def run_reporting(engine, info, budget=None):

@@ -14,9 +14,14 @@ reused:
   evaluators), the strata and the stratum layout as clause indexes,
   keyed by ``(str(program), schemas, evaluation)``
   (:class:`~repro.core.evaluation.ProgramEvaluator`).
-* :data:`REWRITES` — magic-set rewrites, keyed by the program text, the
-  goal and the rewrite's parameters
-  (:func:`~repro.plan.magic.goal_directed_model`).
+* :data:`REWRITES` — the goal-independent part of magic-set rewrites
+  (the guarded program and the demand rules), keyed by
+  ``(str(program), goal predicate, bound data columns)``
+  (:func:`~repro.plan.magic.rewrite_for_goal`).
+
+A :class:`~repro.core.ast.Program` renders its text once per object,
+so keying on ``str(program)`` costs one rendering per parsed or
+rewritten program, not one per lookup.
 
 Answers and models are never cached: they depend on the EDB contents
 and on budgets, and a run is the thing being asked for.  Every entry

@@ -33,7 +33,7 @@ from typing import Optional
 
 from repro.core import DeductiveEngine, parse_program
 from repro.datalog1s import minimal_model, parse_datalog1s
-from repro.fo import evaluate_query
+from repro.fo import evaluate_query, parse_formula
 from repro.gdb import parse_database
 from repro.plan import memo
 from repro.templog import parse_templog, templog_minimal_model
@@ -205,28 +205,28 @@ class JobExecutor:
                 BACKEND_FO,
                 lambda: (evaluate_query(db, spec.query, budget=budget), None),
             )
-        from repro.plan.magic import goal_from_formula, run_reporting
+        from repro.plan.magic import degraded_run, goal_from_formula
 
         engine = self._engine(spec, backend, db)
+        # Parsed once, where it is first read: a goal-directed job takes
+        # its goal from it before the run, any other job only its answers.
+        formula = parse_formula(spec.query) if spec.goal_directed else spec.query
 
         def evaluate():
             if not spec.goal_directed:
                 return engine.run(budget=budget), None
             goal, reason = goal_from_formula(
-                spec.query,
+                formula,
                 engine.program.intensional_predicates(),
                 window=spec.window,
             )
             if goal is not None:
                 return engine.run_goal_directed(goal, budget=budget)
-            info = {"degraded": True, "reason": reason}
-            model = run_reporting(engine, info, budget)
-            model.stats.magic_degraded = {"reason": reason}
-            return model, info
+            return degraded_run(engine, reason, budget)
 
         result = attempt(backend, evaluate)
         if result.outcome in ("ok", "gave-up"):
-            result.model = result.model.query(spec.query)
+            result.model = result.model.query(formula)
         return result
 
     def _run_maintain(self, spec, backend, budget, store, maintainer):

@@ -73,7 +73,8 @@ def assert_goal_directed_agrees(oracle, goal):
     goal window; returns its outcome."""
     directed = settle(
         lambda: goal_directed_model(
-            oracle.program, oracle.edb, goal, on_give_up="raise", **LIMITS
+            DeductiveEngine(oracle.program, oracle.edb, on_give_up="raise", **LIMITS),
+            goal,
         )[0]
     )
     oracle.assert_agrees(directed, "goal-directed", goal, own_rounds=True)

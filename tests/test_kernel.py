@@ -1,5 +1,5 @@
-"""The columnar kernel: batched canonicalization, interning, batch ops,
-and the column store's generation counter.
+"""The columnar kernel: interning, batch ops, and the column store's
+generation counter.
 
 The batch helpers must be *exactly* equivalent to the per-tuple loops
 they replace — each test writes that loop out as the reference —
@@ -16,12 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.atoms import Comparison, TemporalTerm
-from repro.constraints.dbm import (
-    CONSTRAINT_TABLE,
-    ConstraintTable,
-    Dbm,
-    canonicalize_batch,
-)
+from repro.constraints.dbm import CONSTRAINT_TABLE, ConstraintTable, Dbm
 from repro.constraints.system import ConstraintSystem
 from repro.core import DeductiveEngine, parse_program
 from repro.gdb import kernel, parse_database
@@ -31,72 +26,11 @@ from repro.lrp.point import Lrp
 from repro.util import hooks
 
 
-class _ClosureCounter:
-    """Counts Floyd–Warshall closures via the dbm_canonicalize site."""
-
-    def __init__(self):
-        self.count = 0
-
-    def __call__(self, site):
-        if site == "dbm_canonicalize":
-            self.count += 1
-
-
 def _sat_zone():
     zone = Dbm.unconstrained(2)
     zone.add_bound(1, 2, -1)  # x1 - x2 <= -1
     zone.add_bound(2, 1, 5)   # x2 - x1 <= 5
     return zone
-
-
-def _unsat_zone():
-    zone = Dbm.unconstrained(2)
-    zone.add_bound(1, 0, -1)  # x1 <= -1
-    zone.add_bound(0, 1, 0)   # x1 >= 0
-    return zone
-
-
-class TestCanonicalizeBatch:
-    def test_empty_batch(self):
-        assert canonicalize_batch([]) == []
-
-    def test_all_duplicate_batch_closes_once(self):
-        zones = [_sat_zone() for _ in range(4)]
-        counter = _ClosureCounter()
-        saved = hooks.FAULT_HOOK
-        hooks.FAULT_HOOK = counter
-        try:
-            results = canonicalize_batch(zones)
-        finally:
-            hooks.FAULT_HOOK = saved
-        assert counter.count == 1
-        assert all(result is results[0] for result in results)
-        assert results[0] is not None
-
-    def test_unsatisfiable_is_none_mid_batch(self):
-        zones = [_sat_zone(), _unsat_zone(), _sat_zone()]
-        results = canonicalize_batch(zones)
-        assert len(results) == 3
-        assert results[1] is None
-        assert results[0] is not None and results[2] is not None
-        assert results[0] is results[2]
-        assert results[0].is_satisfiable()
-
-    def test_distinct_zones_each_close(self):
-        loose = Dbm.unconstrained(2)
-        loose.add_bound(1, 2, 7)
-        zones = [_sat_zone(), loose, _sat_zone(), loose.copy()]
-        counter = _ClosureCounter()
-        saved = hooks.FAULT_HOOK
-        hooks.FAULT_HOOK = counter
-        try:
-            results = canonicalize_batch(zones)
-        finally:
-            hooks.FAULT_HOOK = saved
-        assert counter.count == 2
-        assert results[0] is results[2]
-        assert results[1] is results[3]
-        assert results[0] is not results[1]
 
 
 class TestConstraintTable:

@@ -136,7 +136,8 @@ relation node[1; 1] {
     )
     full = DeductiveEngine(program, edb, on_give_up="partial").run()
     model, info = goal_directed_model(
-        program, edb, QueryGoal.windowed("free", 0, 10), on_give_up="partial"
+        DeductiveEngine(program, edb, on_give_up="partial"),
+        QueryGoal.windowed("free", 0, 10),
     )
     assert not info["degraded"]
     assert set(model.extension("free", 0, 10)) == set(
@@ -148,7 +149,8 @@ def test_unknown_goal_predicate_degrades_to_full():
     with pytest.raises(MagicUnsupportedError):
         rewrite_for_goal(PROGRAM, QueryGoal.point("nosuch", 0))
     model, info = goal_directed_model(
-        PROGRAM, EDB, QueryGoal.point("nosuch", 0), on_give_up="partial"
+        DeductiveEngine(PROGRAM, EDB, on_give_up="partial"),
+        QueryGoal.point("nosuch", 0),
     )
     assert info["degraded"]
     assert model.stats.magic_degraded is not None
@@ -266,7 +268,9 @@ def test_point_goal_derives_at_most_half_the_full_fixpoint():
     program, edb = workloads().multi_chain_workload(chains=4, period=24)
     goal = QueryGoal.point("meet3", 13)
     full = DeductiveEngine(program, edb, on_give_up="partial").run()
-    directed, info = goal_directed_model(program, edb, goal, on_give_up="partial")
+    directed, info = goal_directed_model(
+        DeductiveEngine(program, edb, on_give_up="partial"), goal
+    )
     assert not info.get("degraded"), info
     answers = set(directed.extension("meet3", 13, 14))
     assert answers and answers == set(full.extension("meet3", 13, 14))
@@ -281,7 +285,9 @@ def test_reachability_goal_equals_full_fixpoint_with_fewer_tuples():
     program, edb = workloads().multi_chain_workload(chains=4, period=24)
     goal = QueryGoal.whole("p1")
     full = DeductiveEngine(program, edb, on_give_up="partial").run()
-    directed, info = goal_directed_model(program, edb, goal, on_give_up="partial")
+    directed, info = goal_directed_model(
+        DeductiveEngine(program, edb, on_give_up="partial"), goal
+    )
     assert not info.get("degraded"), info
     answers = set(directed.extension("p1", 0, 48))
     assert answers and answers == set(full.extension("p1", 0, 48))

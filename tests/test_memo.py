@@ -8,11 +8,12 @@ hit/miss counts kept (they only ever grow).
 
 import sys
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 
 from repro.core import DeductiveEngine, parse_program
+from repro.core.ast import Program
 from repro.core.evaluation import ProgramEvaluator
 from repro.fo import evaluate_query
 from repro.gdb import parse_database
@@ -23,12 +24,13 @@ from repro.plan import memo
 from repro.plan.magic import (
     MagicUnsupportedError,
     QueryGoal,
-    cached_rewrite,
     goal_directed_model,
+    rewrite_for_goal,
 )
 from repro.runtime import FaultPlan
 from repro.runtime.faults import InjectedFaultError
 from repro.service import QueryService
+from repro.service.executor import JobExecutor
 from repro.service.jobs import JobSpec
 from repro.util.errors import SchemaError
 
@@ -130,30 +132,62 @@ class TestCompiledPrograms:
 
 class TestRewrites:
     def test_keys_differ_by_widen_delay_window_and_binding(self):
+        """Widen delay and window change only the per-goal demand; the
+        key, and with it the guarded program, differs by binding."""
         program = parse_program(PROGRAM)
         base = QueryGoal.windowed("problems", 0, 120)
+        bound = QueryGoal.windowed("problems", 0, 120, {0: "database"})
         variants = [
             (base, 3),
             (base, 1),
             (QueryGoal.windowed("problems", 0, 60), 3),
-            (QueryGoal.windowed("problems", 0, 120, {0: "database"}), 3),
+            (bound, 3),
         ]
         rewrites = [
-            cached_rewrite(program, goal, widen_delay=delay)
+            rewrite_for_goal(program, goal, widen_delay=delay)
             for goal, delay in variants
         ]
-        assert len(memo.REWRITES.entries) == 4
-        assert len({id(rewrite) for rewrite in rewrites}) == 4
+        assert list(memo.REWRITES.entries) == [
+            (str(program), "problems", ()),
+            (str(program), "problems", (0,)),
+        ]
+        assert rewrites[1].program is rewrites[0].program
+        assert rewrites[2].program is rewrites[0].program
+        assert rewrites[3].program is not rewrites[0].program
         hits = memo.REWRITES.hits
-        again = cached_rewrite(parse_program(PROGRAM), base, widen_delay=3)
-        assert again is rewrites[0]
+        again = rewrite_for_goal(parse_program(PROGRAM), base, widen_delay=3)
+        assert again.program is rewrites[0].program
+        assert again.info() == rewrites[0].info()
         assert memo.REWRITES.hits == hits + 1
+
+    def test_windows_of_one_adornment_share_one_rewrite(self):
+        program, edb = parse_program(PROGRAM), parse_database(EDB)
+        full = DeductiveEngine(program, edb).run()
+        windows = [(0, 120), (0, 60), (48, 96)]
+        rewrites = []
+        for low, high in windows:
+            goal = QueryGoal.windowed("problems", low, high)
+            rewrites.append(rewrite_for_goal(program, goal))
+            engine = DeductiveEngine(program, edb, on_give_up="partial")
+            model, info = goal_directed_model(engine, goal)
+            assert not info["degraded"]
+            assert model.extension("problems", low, high) == full.extension(
+                "problems", low, high
+            )
+        assert len(memo.REWRITES.entries) == 1
+        assert all(rewrite.program is rewrites[0].program for rewrite in rewrites)
+        zones = {
+            str(rewrite.magic_relations["_m__problems"]) for rewrite in rewrites
+        }
+        assert len(zones) == 3
+        # The original program and the one guarded program, compiled once each.
+        assert len(memo.PROGRAMS.entries) == 2
 
     def test_unsupported_goal_is_not_cached(self):
         program = parse_program(PROGRAM)
         for _ in range(2):
             with pytest.raises(MagicUnsupportedError):
-                cached_rewrite(program, QueryGoal.whole("nowhere"))
+                rewrite_for_goal(program, QueryGoal.whole("nowhere"))
         assert memo.REWRITES.entries == OrderedDict()
 
     def test_hit_still_announces_the_rewrite(self):
@@ -161,15 +195,70 @@ class TestRewrites:
 
         program = parse_program(PROGRAM)
         goal = QueryGoal.windowed("problems", 0, 120)
-        cached_rewrite(program, goal)
+        rewrite_for_goal(program, goal)
         kinds = []
         sink = hooks.subscribe(lambda kind, fields: kinds.append(kind))
         try:
-            cached_rewrite(program, goal)
+            rewrite_for_goal(program, goal)
         finally:
             hooks.unsubscribe(sink)
         assert memo.REWRITES.hits >= 1
         assert "magic.rewrite" in kinds and "magic.seed" in kinds
+
+    def test_degraded_goal_directed_model_runs_the_callers_engine(self, monkeypatch):
+        engine = DeductiveEngine(
+            parse_program(PROGRAM), parse_database(EDB), on_give_up="partial"
+        )
+        built = []
+        construct = ProgramEvaluator.__init__
+
+        def counting(evaluator, *args, **kwargs):
+            built.append(evaluator)
+            construct(evaluator, *args, **kwargs)
+
+        monkeypatch.setattr(ProgramEvaluator, "__init__", counting)
+        model, info = goal_directed_model(engine, QueryGoal.whole("nowhere"))
+        assert built == []
+        assert list(info) == ["goal", "degraded", "reason"]
+        assert info["goal"] == "nowhere" and info["degraded"]
+        assert model.stats.magic_degraded == {
+            "reason": info["reason"],
+            "goal": "nowhere",
+        }
+        assert list(model.stats.magic_degraded) == ["reason", "goal"]
+        assert model.equivalent(engine.run())
+
+
+def test_goal_jobs_render_and_validate_each_program_once(monkeypatch):
+    """Repeated goal-directed jobs render each Program object's text at
+    most once and validate it at most once, the parsed program and the
+    shared guarded one alike."""
+    seen = {"_text": [], "_validated": []}
+    for name, programs in seen.items():
+        prop = Program.__dict__[name]
+
+        def counting(program, compute=prop.func, programs=programs):
+            programs.append(program)
+            return compute(program)
+
+        monkeypatch.setattr(prop, "func", counting)
+    spec = JobSpec(
+        "goal",
+        "query",
+        program=PROGRAM,
+        edb=EDB,
+        query="problems(t1, t2; X)",
+        window=(0, 120),
+        goal_directed=True,
+    )
+    executor = JobExecutor()
+    results = [executor.execute(spec, "compiled") for _ in range(3)]
+    assert [result.outcome for result in results] == ["ok"] * 3
+    assert not results[-1].magic["degraded"]
+    assert results[1].window == results[2].window == results[0].window
+    for name, programs in seen.items():
+        assert programs, name
+        assert max(Counter(map(id, programs)).values()) == 1, name
 
 
 class TestCaps:
@@ -193,14 +282,14 @@ class TestCaps:
 
     def test_rewrites_stay_at_the_cap_and_evict_the_oldest(self, monkeypatch):
         monkeypatch.setattr(memo.REWRITES, "cap", 2)
-        program = parse_program(PROGRAM)
-        goals = [QueryGoal.point("problems", instant) for instant in range(4)]
+        program = parse_program(" ".join("p%d(t) <- q(t)." % k for k in range(4)))
+        goals = [QueryGoal.point("p%d" % k, 0) for k in range(4)]
         for goal in goals:
-            cached_rewrite(program, goal)
-        assert [key[2] for key in memo.REWRITES.entries] == [2, 3]
-        # The evicted goal is a miss again; answers do not depend on it.
+            rewrite_for_goal(program, goal)
+        assert [key[1] for key in memo.REWRITES.entries] == ["p2", "p3"]
+        # The evicted adornment is a miss again; answers do not depend on it.
         misses = memo.REWRITES.misses
-        cached_rewrite(program, goals[0])
+        rewrite_for_goal(program, goals[0])
         assert memo.REWRITES.misses == misses + 1
         assert len(memo.REWRITES.entries) == 2
 
@@ -231,10 +320,10 @@ def test_service_answers_equal_uncached_evaluation(monkeypatch):
         expected_goal = {}
         for window in windows:
             model, info = goal_directed_model(
-                parse_program(PROGRAM),
-                parse_database(EDB),
+                DeductiveEngine(
+                    parse_program(PROGRAM), parse_database(EDB), on_give_up="partial"
+                ),
                 QueryGoal.windowed("problems", *window),
-                on_give_up="partial",
             )
             assert not info["degraded"]
             expected_goal[window] = _answers(goal_query, model)

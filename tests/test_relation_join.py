@@ -1,82 +1,11 @@
-"""Tests for the first-class join API and projection ablation flag."""
+"""Tests for the forced-aligned projection (the E12 ablation path)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import ConstraintSystem
-from repro.gdb import GeneralizedRelation, GeneralizedTuple, parse_database
+from repro.gdb import GeneralizedRelation, GeneralizedTuple
 from repro.lrp import Lrp
-
-
-def timetable(text):
-    return parse_database(text)
-
-
-class TestJoin:
-    def test_temporal_join(self):
-        db = timetable(
-            """
-            relation leg1[2; 0] { (60n, 60n+40) where T1 >= 0 & T2 = T1 + 40; }
-            relation leg2[2; 0] { (60n+40, 60n+55) where T1 >= 0 & T2 = T1 + 15; }
-            """
-        )
-        joined = db.relation("leg1").join(
-            db.relation("leg2"), temporal_pairs=[(1, 0)]
-        )
-        # Columns: leg1.T1, leg1.T2(=leg2.T1), leg2.T2
-        assert joined.temporal_arity == 3
-        assert joined.contains_point((0, 40, 55))
-        assert joined.contains_point((60, 100, 115))
-        assert not joined.contains_point((0, 40, 56))
-
-    def test_data_join(self):
-        left = GeneralizedRelation(
-            1,
-            1,
-            [
-                GeneralizedTuple((Lrp(2, 0),), ("x",)),
-                GeneralizedTuple((Lrp(2, 0),), ("y",)),
-            ],
-        )
-        right = GeneralizedRelation(
-            0, 1, [GeneralizedTuple((), ("x",))]
-        )
-        joined = left.join(right, data_pairs=[(0, 0)])
-        assert joined.data_arity == 1
-        assert joined.contains_point((2,), ("x",))
-        assert not joined.contains_point((2,), ("y",))
-
-    def test_join_crt_refinement(self):
-        db = timetable(
-            """
-            relation a[1; 0] { (4n+1); }
-            relation b[1; 0] { (6n+3); }
-            """
-        )
-        joined = db.relation("a").join(db.relation("b"), temporal_pairs=[(0, 0)])
-        assert joined.temporal_arity == 1
-        normalized = joined.normalize()
-        assert normalized.tuples[0].lrps == (Lrp(12, 9),)
-
-    def test_join_empty_when_disjoint(self):
-        db = timetable(
-            """
-            relation a[1; 0] { (4n); }
-            relation b[1; 0] { (4n+1); }
-            """
-        )
-        joined = db.relation("a").join(db.relation("b"), temporal_pairs=[(0, 0)])
-        assert joined.is_empty()
-
-    def test_join_no_pairs_is_product(self):
-        db = timetable(
-            """
-            relation a[1; 0] { (2n) where T1 >= 0 & T1 < 4; }
-            relation b[1; 0] { (3n) where T1 >= 0 & T1 < 4; }
-            """
-        )
-        joined = db.relation("a").join(db.relation("b"))
-        assert joined.extension(0, 5) == {(0, 0), (0, 3), (2, 0), (2, 3)}
 
 
 class TestForcedAlignedProjection:
