@@ -10,8 +10,8 @@ Two workload families never become constraint safe:
 
 Theorem 4.2 still holds — free signatures stabilize immediately — and
 the engine must take the paper's advice: give up after a bounded
-number of extra rounds, returning a sound partial model, never
-diverging.  The benchmark times the give-up path.
+number of extra rounds, raising ``GiveUpError`` with a sound partial
+model, never diverging.  The benchmark times the give-up path.
 """
 
 import pytest
@@ -23,11 +23,13 @@ from workloads import point_seed_workload, unary_arithmetic_workload
 
 
 def run_with_patience(workload, patience):
+    """The partial model a run with ``patience`` gives up with."""
     program, edb = workload
-    engine = DeductiveEngine(
-        program, edb, patience=patience, on_give_up="partial"
-    )
-    return engine.run()
+    try:
+        DeductiveEngine(program, edb, patience=patience).run()
+    except GiveUpError as error:
+        return error.partial_model
+    raise AssertionError("expected GiveUpError")
 
 
 def test_e7_point_seed_gives_up(benchmark):
@@ -67,7 +69,7 @@ def test_e7_patience_budget_respected(benchmark):
         assert total_rounds <= stable + patience + 1
 
 
-def test_e7_raises_by_default(benchmark):
+def test_e7_raises_with_partial_model(benchmark):
     program, edb = point_seed_workload(5)
 
     def run():

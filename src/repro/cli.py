@@ -61,10 +61,10 @@ Observability: ``run``/``query``/``datalog1s``/``templog`` accept
 accepts ``--profile`` (per-operator time and cardinalities from a
 real run), and ``batch --json`` reports the service metrics registry.
 
-The evaluating commands run through the service's attempt code
-(:meth:`repro.service.executor.JobExecutor.execute`) and take their
-exit code from its outcome.  Exit codes are stable for machine
-consumers:
+The evaluating commands and ``explain --profile`` run through the
+service's attempt code (:meth:`repro.service.executor.JobExecutor.execute`);
+the evaluating commands take their exit code from its outcome.  Exit
+codes are stable for machine consumers:
 
 ====  =====================================================
 0     success (complete model / answers; every batch job ok)
@@ -105,7 +105,7 @@ import json
 import os
 import sys
 
-from repro.core import DeductiveEngine, parse_program
+from repro.core import parse_program
 from repro.gdb import parse_database
 from repro.plan import memo
 from repro.runtime.budget import EvaluationBudget
@@ -363,20 +363,6 @@ def _cmd_run(args, out):
     return code
 
 
-def _profile_run(program, edb, strategy):
-    """Execute the program once with a :class:`ProfileCollector`
-    subscribed; the per-operator aggregates (time + cardinalities)
-    drive ``explain --profile``."""
-    from repro.obs import ProfileCollector
-    from repro.util import hooks
-
-    collector = ProfileCollector()
-    engine = DeductiveEngine(program, edb, strategy=strategy, on_give_up="partial")
-    with hooks.subscribed(collector):
-        model = engine.run()
-    return collector, model
-
-
 def _profile_payload(collector, model):
     return {
         "operators": collector.table(),
@@ -434,15 +420,26 @@ def _cmd_explain(args, out):
     from repro.core.evaluation import ProgramEvaluator
     from repro.plan.explain import format_program_plans, plan_fingerprint
 
-    program = parse_program(_read(args.program))
-    edb = parse_database(_read(args.edb))
-    evaluator = ProgramEvaluator(program, edb)
+    program, edb = _read(args.program), _read(args.edb)
+    spec = JobSpec("explain", "run", program=program, edb=edb, strategy=args.strategy)
+    evaluator = ProgramEvaluator(
+        memo.parsed("program", program, parse_program), memo.parsed("edb", edb, parse_database)
+    )
     rendering = format_program_plans(evaluator.plans)
     fingerprint = plan_fingerprint(evaluator.plans)
     profile = None
     if args.profile:
-        collector, model = _profile_run(program, edb, args.strategy)
-        profile = (collector, model)
+        # One run through the front door; one that gives up is
+        # profiled on its partial model.
+        from repro.obs import ProfileCollector
+        from repro.util import hooks
+
+        collector = ProfileCollector()
+        with hooks.subscribed(collector):
+            result = JobExecutor().execute(spec, BACKEND_COMPILED)
+        if result.outcome not in ("ok", "gave-up"):
+            raise result.error
+        profile = (collector, result.model)
     if args.json:
         report = {"plan_fingerprint": fingerprint, "plans": rendering}
         if profile is not None:

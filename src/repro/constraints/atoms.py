@@ -41,9 +41,6 @@ class TemporalTerm:
         return "%s - %d" % (name, -self.const)
 
 
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
-
-
 @dataclass(frozen=True)
 class Comparison:
     """A constraint atom ``left op right`` with op in <, <=, =, >=, >, !=.
@@ -59,10 +56,6 @@ class Comparison:
     def is_convex(self):
         """True when the atom denotes a single zone (everything but !=)."""
         return self.op != "!="
-
-    def flipped(self):
-        """The same constraint written with sides exchanged."""
-        return Comparison(_FLIPPED[self.op], self.right, self.left)
 
     def negated(self):
         """The complementary constraints, as a list of atoms whose

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from repro.core.stratify import stratify
 from repro.util.errors import SchemaError
 
 
@@ -194,8 +195,8 @@ class Program:
     other predicates mentioned in bodies are *extensional* (EDB) and
     must be supplied by a generalized database at evaluation time.
 
-    Its text, schemas, intensional predicates and validation are
-    computed once per object, on first use; one that raises is not kept.
+    Its text, schemas, intensional predicates, validation and strata
+    are computed once per object, on first use; one that raises is not kept.
     """
 
     clauses: tuple
@@ -237,10 +238,6 @@ class Program:
         predicate; raises SchemaError on inconsistent use."""
         return dict(self._schemas)
 
-    def clauses_for(self, predicate):
-        """The clauses whose head predicate is ``predicate``."""
-        return [c for c in self.clauses if c.head.predicate == predicate]
-
     @cached_property
     def _validated(self):
         self._schemas
@@ -270,6 +267,15 @@ class Program:
         (bound by a positive body predicate atom)."""
         self._validated
         return self
+
+    @cached_property
+    def _strata(self):
+        return stratify(self)
+
+    def strata(self):
+        """:func:`~repro.core.stratify.stratify`'s read-only result;
+        raises SchemaError on a recursion through negation."""
+        return self._strata
 
     @cached_property
     def _text(self):

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
-from repro.core.evaluation import ProgramEvaluator
+from repro.core.evaluation import ProgramEvaluator, checked_schemas
 from repro.core.safety import (
     CoverageChecker,
     coverage_test,
@@ -252,15 +253,15 @@ class DeductiveEngine:
         Give-up budget: extra rounds allowed after the free-signature
         set stops growing.  ``None`` disables the give-up policy (only
         ``max_rounds`` limits the run).
-    on_give_up:
-        ``"raise"`` (default) raises
-        :class:`~repro.util.errors.GiveUpError` carrying the partial
-        model; ``"partial"`` returns the partial model with
-        ``stats.gave_up`` set.
     evaluation:
         Clause-evaluation backend: ``"compiled"`` (default; the plan
         layer of :mod:`repro.plan`) or ``"reference"`` (the
         paper-literal product-then-select oracle).
+
+    A run that gives up raises :class:`~repro.util.errors.GiveUpError`
+    with the partial model, as budget trips and aborts raise theirs.
+    Construction checks the program against ``edb``; the program is
+    compiled (:attr:`evaluator`) only when the engine first needs it.
 
     >>> from repro.core import DeductiveEngine, parse_program
     >>> from repro.gdb import parse_database
@@ -285,22 +286,25 @@ class DeductiveEngine:
         safety="paper",
         max_rounds=500,
         patience=10,
-        on_give_up="raise",
         evaluation="compiled",
     ):
         if strategy not in ("naive", "semi-naive"):
             raise ValueError("strategy must be 'naive' or 'semi-naive'")
-        if on_give_up not in ("raise", "partial"):
-            raise ValueError("on_give_up must be 'raise' or 'partial'")
         self.program = program
         self.edb = edb
         self.strategy = strategy
         self.safety = safety
         self.max_rounds = max_rounds
         self.patience = patience
-        self.on_give_up = on_give_up
+        self.evaluation = evaluation
         coverage_test(safety)  # validate the mode name eagerly
-        self.evaluator = ProgramEvaluator(program, edb, evaluation=evaluation)
+        checked_schemas(program, edb, evaluation)
+        program.strata()  # a recursion through negation fails here too
+
+    @cached_property
+    def evaluator(self):
+        """The compiled program (:class:`ProgramEvaluator`)."""
+        return ProgramEvaluator(self.program, self.edb, evaluation=self.evaluation)
 
     # -- public API -------------------------------------------------------
 
@@ -332,7 +336,9 @@ class DeductiveEngine:
         Theorem-4.2 test is evaluated on the final interpretation and
         recorded in the stats (it costs one extra T_GP round).
 
-        ``budget`` is an optional
+        A run that gives up (``patience`` or ``max_rounds``) raises
+        :class:`~repro.util.errors.GiveUpError` with the partial model
+        attached.  ``budget`` is an optional
         :class:`~repro.runtime.budget.EvaluationBudget`; when a limit
         trips, :class:`~repro.util.errors.BudgetExceededError` is raised
         with the partial model attached.  ``checkpoint_every=N`` with
@@ -383,7 +389,8 @@ class DeductiveEngine:
         falling back to the full fixpoint — with the degradation
         recorded in ``stats.magic_degraded`` — when the rewrite cannot
         apply.  Returns ``(model, info)``; see
-        :func:`~repro.plan.magic.goal_directed_model`.
+        :func:`~repro.plan.magic.goal_directed_model`; this engine
+        compiles its own program only for that fallback.
         """
         from repro.plan.magic import DEFAULT_WIDEN_DELAY, goal_directed_model
 
@@ -401,8 +408,7 @@ class DeductiveEngine:
             safety=self.safety,
             max_rounds=self.max_rounds,
             patience=self.patience,
-            on_give_up=self.on_give_up,
-            evaluation=self.evaluator.evaluation,
+            evaluation=self.evaluation,
         )
 
     def maintain(self, relations, delta=None, budget=None):
@@ -571,7 +577,7 @@ class DeductiveEngine:
                 partial_model=self._partial_model(env, stats, best_effort=True),
                 stats=stats,
             ) from error
-        if stats.gave_up and self.on_give_up == "raise":
+        if stats.gave_up:
             raise GiveUpError(
                 "bottom-up evaluation did not reach constraint safety "
                 "within its budget (%d rounds, free signatures stable "

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.core.stratify import stratify
 from repro.core.transform import normalize_program
 from repro.gdb.relation import GeneralizedRelation
 from repro.plan import memo
@@ -70,7 +69,7 @@ def _compile(program, schemas, intensional, evaluation):
         )
     else:
         evaluators = plans
-    strata, clause_strata = stratify(program)
+    strata, clause_strata = program.strata()
     index_of = {
         id(evaluator.normalized.original): index
         for index, evaluator in enumerate(evaluators)
@@ -92,6 +91,24 @@ def _compile(program, schemas, intensional, evaluation):
     )
 
 
+def checked_schemas(program, edb, evaluation="compiled"):
+    """``program``'s schemas once it is validated, ``evaluation`` names
+    a clause evaluator and ``edb`` provides every extensional predicate
+    with the program's arities (else :class:`SchemaError`)."""
+    if evaluation not in _EVALUATION_MODES:
+        raise ValueError("evaluation must be one of %s" % (_EVALUATION_MODES,))
+    schemas = program.validate().schemas()
+    for name in program.extensional_predicates():
+        schema = edb.schema(name)
+        edb_shape = (schema.temporal_arity, schema.data_arity)
+        if schemas[name] != edb_shape:
+            raise SchemaError(
+                "predicate %r: program uses arities %s, EDB provides %s"
+                % (name, schemas[name], edb_shape)
+            )
+    return schemas
+
+
 class ProgramEvaluator:
     """Compiles a program and applies T_GP rounds over an environment.
 
@@ -105,26 +122,11 @@ class ProgramEvaluator:
     """
 
     def __init__(self, program, edb, evaluation="compiled"):
-        if evaluation not in _EVALUATION_MODES:
-            raise ValueError(
-                "evaluation must be one of %s" % (_EVALUATION_MODES,)
-            )
-        program.validate()
         self.program = program
         self.edb = edb
         self.evaluation = evaluation
-        self.schemas = program.schemas()
+        self.schemas = checked_schemas(program, edb, evaluation)
         self.intensional = program.intensional_predicates()
-        for name in program.extensional_predicates():
-            schema = edb.schema(name)
-            declared = self.schemas.get(name)
-            edb_shape = (schema.temporal_arity, schema.data_arity)
-            if declared is not None and declared != edb_shape:
-                raise SchemaError(
-                    "predicate %r: program uses arities %s, EDB provides %s"
-                    % (name, declared, edb_shape)
-                )
-            self.schemas[name] = edb_shape
         key = (str(program), tuple(sorted(self.schemas.items())), evaluation)
         compiled = memo.PROGRAMS.lookup(
             key,

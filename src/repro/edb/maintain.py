@@ -83,15 +83,15 @@ class MaterializedModel:
     holds the last materialized :class:`~repro.core.engine.Model` and
     the transaction id it reflects.  :meth:`refresh` brings it to the
     store's head (or any requested ``tx``) by the cheapest sound path.
-    Engines are rebuilt per refresh (plan compilation is cheap relative
-    to a fixpoint; schemas may have changed between refreshes).
+    Each refresh builds one engine over one snapshot (plan compilation
+    is cheap relative to a fixpoint; schemas may have changed between
+    refreshes), with the default strategy and safety mode: warm rounds
+    are semi-naive whatever the strategy.
     """
 
     def __init__(
         self,
         program_text,
-        strategy="semi-naive",
-        safety="paper",
         evaluation="compiled",
         rederive_budget=64,
         max_rounds=500,
@@ -99,8 +99,6 @@ class MaterializedModel:
     ):
         self.program_text = program_text
         self.program = parse_program(program_text)
-        self.strategy = strategy
-        self.safety = safety
         self.evaluation = evaluation
         self.rederive_budget = rederive_budget
         self.max_rounds = max_rounds
@@ -116,8 +114,6 @@ class MaterializedModel:
         return DeductiveEngine(
             self.program,
             edb,
-            strategy=self.strategy,
-            safety=self.safety,
             evaluation=self.evaluation,
             max_rounds=self.max_rounds,
             patience=self.patience,
@@ -136,7 +132,8 @@ class MaterializedModel:
                 # Nothing to maintain from (or time went backwards —
                 # an as-of request older than the materialization).
                 reason = None if self.model is None else "as-of-before-model"
-                return self._recompute(store, target, reason, budget)
+                engine = self._engine(store.snapshot(target))
+                return self._recompute(engine, target, reason, budget)
             inserts, retracts, declares = store.delta_between(self.tx, target)
             return self._apply_delta(
                 store, target, inserts, retracts, declares, budget
@@ -158,13 +155,12 @@ class MaterializedModel:
             hooks.emit("maintain.delta", report.to_json_dict())
         return model
 
-    def _recompute(self, store, target, reason, budget, report=None):
+    def _recompute(self, engine, target, reason, budget, report=None):
         if report is None:
             self._started = time.monotonic()
             report = MaintainReport(tx=target, from_tx=self.tx)
         report.recomputed = True
         report.reason = reason
-        engine = self._engine(store.snapshot(target))
         model = engine.run(budget=budget)
         report.rounds = model.stats.rounds
         # A first materialization is not a degradation — only a fallback
@@ -180,18 +176,18 @@ class MaterializedModel:
             inserted=sum(len(ts) for ts in inserts.values()),
             retracted=sum(len(ts) for ts in retracts.values()),
         )
-        if declares:
-            return self._recompute(store, target, "schema-change", budget, report)
-        if not inserts and not retracts:
+        if not inserts and not retracts and not declares:
             # Transactions whose net effect cancelled out.
             report.rounds = 0
             return self._finish(self.model, report)
         engine = self._engine(store.snapshot(target))
+        if declares:
+            return self._recompute(engine, target, "schema-change", budget, report)
         if engine.warm_start_blocker() is not None:
             # Negation or several strata: the warm path is unsound, and
             # overdeletion could not fire a negated clause without its
             # complement.
-            return self._recompute(store, target, "not-maintainable", budget, report)
+            return self._recompute(engine, target, "not-maintainable", budget, report)
         relations = {
             name: self.model.relation(name) for name in self.model.predicates()
         }
@@ -199,7 +195,7 @@ class MaterializedModel:
             survived = self._overdelete(engine, relations, retracts, report)
             if survived is None:
                 return self._recompute(
-                    store, target, "rederive-budget", budget, report
+                    engine, target, "rederive-budget", budget, report
                 )
             relations = survived
             delta = None  # naive rederivation restart
@@ -273,9 +269,10 @@ MAINTAINER_CAP = 32
 class MaintainerCache:
     """Process-level registry of maintained models for the service.
 
-    Keyed by ``(store_root, program text, strategy, safety,
-    evaluation)`` so concurrent maintenance jobs for the same program
-    share one materialization; the per-model lock in
+    Keyed by ``(store_root, program text, evaluation)`` (the evaluation
+    backend is the one engine setting the service executor passes), so
+    concurrent maintenance jobs for the same program share one
+    materialization; the per-model lock in
     :class:`MaterializedModel` serializes refreshes.  At most
     :data:`MAINTAINER_CAP` entries are kept, the oldest evicted first
     (a later job for an evicted key materializes afresh).  ``invalidate``
@@ -288,18 +285,12 @@ class MaintainerCache:
         self._lock = threading.Lock()
         self._entries = OrderedDict()
 
-    def get(self, root, program_text, **kwargs):
-        key = (
-            root,
-            program_text,
-            kwargs.get("strategy", "semi-naive"),
-            kwargs.get("safety", "paper"),
-            kwargs.get("evaluation", "compiled"),
-        )
+    def get(self, root, program_text, evaluation="compiled"):
+        key = (root, program_text, evaluation)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                entry = MaterializedModel(program_text, **kwargs)
+                entry = MaterializedModel(program_text, evaluation=evaluation)
                 self._entries[key] = entry
                 while len(self._entries) > MAINTAINER_CAP:
                     self._entries.popitem(last=False)

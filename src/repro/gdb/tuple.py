@@ -592,16 +592,19 @@ class GeneralizedTuple:
                 return False
         return True
 
-    def subtract(self, others):
+    def subtract(self, others, period=1):
         """The exact difference ``self \\ (union of others)`` as a list
         of GeneralizedTuples.  ``others`` must have the same arities;
         tuples with different data are ignored (they remove nothing).
+        The pieces run on one common period: the lcm of ``period`` and
+        every column period of ``self`` and of the relevant ``others``.
         """
         relevant = [o for o in others if o.data == self.data]
-        if not relevant:
+        if not relevant and period == 1:
             return [] if self.is_empty() else [self]
         period = lcm_all(
-            [lrp.period for lrp in self.lrps]
+            [period]
+            + [lrp.period for lrp in self.lrps]
             + [lrp.period for o in relevant for lrp in o.lrps]
         )
         theirs = {}

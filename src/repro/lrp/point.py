@@ -123,14 +123,6 @@ class Lrp:
         first = low + (self.offset - low) % self.period
         return range(first, high, self.period)
 
-    def smallest_at_least(self, bound):
-        """The smallest element of this lrp that is >= ``bound``."""
-        return bound + (self.offset - bound) % self.period
-
-    def largest_at_most(self, bound):
-        """The largest element of this lrp that is <= ``bound``."""
-        return bound - (bound - self.offset) % self.period
-
     # -- display -------------------------------------------------------
 
     def __str__(self):

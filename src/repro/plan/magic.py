@@ -63,7 +63,7 @@ from repro.constraints.atoms import Comparison, TemporalTerm as ColumnTerm
 from repro.constraints.dbm import Dbm
 from repro.constraints.system import ConstraintSystem
 from repro.core.ast import PredicateAtom, Program, TemporalTerm
-from repro.core.stratify import reachable_predicates, stratify
+from repro.core.stratify import reachable_predicates
 from repro.core.transform import NormalizedClause, denormalize, normalize_program
 from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.tuple import GeneralizedTuple
@@ -471,8 +471,7 @@ def _adorn_program(program, goal):
         clauses.append(denormalize(guarded))
     rewritten = Program(tuple(clauses))
     try:
-        rewritten.validate()
-        stratify(rewritten)
+        rewritten.validate().strata()
     except SchemaError as error:
         raise MagicUnsupportedError(
             "rewritten program for %s does not stratify: %s" % (goal, error)
@@ -715,9 +714,9 @@ def goal_directed_model(engine, goal, budget=None, widen_delay=DEFAULT_WIDEN_DEL
     summarizes the rewrite — or records the fallback.  The guarded
     program runs on an engine with ``engine``'s settings
     (:meth:`~repro.core.engine.DeductiveEngine.over`).  When the
-    rewrite cannot apply, ``engine`` itself runs the full fixpoint
-    (:func:`degraded_run`, the "magic → full" rung of the degradation
-    ladder).
+    rewrite cannot apply, ``engine`` itself compiles and runs the full
+    fixpoint (:func:`degraded_run`, the "magic → full" rung of the
+    degradation ladder).  An early stop raises (:func:`run_reporting`).
     """
     try:
         rewrite = rewrite_for_goal(engine.program, goal, widen_delay=widen_delay)

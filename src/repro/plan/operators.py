@@ -37,6 +37,7 @@ import time
 from repro.gdb import kernel
 from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.tuple import GeneralizedTuple
+from repro.lrp.congruence import lcm_all
 from repro.util import hooks
 
 _UNIT = GeneralizedTuple((), ())
@@ -155,8 +156,11 @@ class AntiJoinStep(JoinStep):
     every data variable is already bound (``match_pairs``).  Each
     working-set tuple ``a`` is joined with its partner source tuples,
     the overlaps are projected back onto ``a``'s own columns, and ``a``
-    is replaced by ``a.subtract(overlaps)`` — kept whole when nothing
-    overlaps.  The working set's columns do not change."""
+    is replaced by ``a.subtract(overlaps)`` on the partners' common
+    period, the period of the reference's complement, so both modes
+    split ``a`` alike.  ``a`` is kept whole when nothing overlaps it
+    and each of its columns already runs on a multiple of that period.
+    The working set's columns do not change."""
 
     __slots__ = ("keep_temporal", "keep_data")
 
@@ -178,9 +182,11 @@ class AntiJoinStep(JoinStep):
         if not tuples:
             return current
         partners = self.partners(tuples)
-        owners, pairs = [], []
+        owners, pairs, periods = [], [], []
         for index, a in enumerate(current):
-            for b in partners(a):
+            group = partners(a)
+            periods.append(lcm_all(lrp.period for b in group for lrp in b.lrps))
+            for b in group:
                 owners.append(index)
                 pairs.append((a, b))
         joined = kernel.join_batch(pairs, self.atoms, stats)
@@ -194,8 +200,9 @@ class AntiJoinStep(JoinStep):
         result = []
         for index, a in enumerate(current):
             found = overlaps.get(index)
-            if found:
-                result.extend(a.subtract(found))
+            period = periods[index]
+            if found or any(lrp.period % period for lrp in a.lrps):
+                result.extend(a.subtract(found or (), period))
             else:
                 result.append(a)
         return result

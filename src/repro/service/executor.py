@@ -3,10 +3,11 @@
 The executor is the bridge between a :class:`~repro.service.jobs.JobSpec`
 and the library's front ends.  The query service's workers and the
 CLI's evaluating commands (``run``, ``query``, ``asof``, ``datalog1s``,
-``templog``, ``txn apply --maintain``) both run their evaluations
-through :meth:`JobExecutor.execute`.  It is deliberately *policy-free*:
-it runs exactly one attempt with the backend, budget and checkpoint
-files its caller passes in, and returns an :class:`AttemptOutcome`.
+``templog``, ``txn apply --maintain``, ``explain --profile``) both run
+their evaluations through :meth:`JobExecutor.execute`.  It is
+deliberately *policy-free*: it runs exactly one attempt with the
+backend, budget and checkpoint files its caller passes in, and returns
+an :class:`AttemptOutcome`.
 :func:`attempt` is the one place where a give-up, a budget trip or an
 abort becomes an outcome; every other failure propagates for the caller
 to classify (the worker pool retries, degrades or fails the job; the

@@ -2,9 +2,12 @@
 
 Runs ``run``, ``query``, ``asof``, ``txn apply``, ``datalog1s`` and
 ``templog`` (plus the CI smoke commands) in human and ``--json`` mode
-over the ok, gave-up, budget-exceeded and fault-abort outcomes, each in
-a fresh process, and records stdout, stderr and the exit code of every
-case with elapsed times and the scratch directory masked.  Recording the
+over the ok, gave-up, budget-exceeded and fault-abort outcomes, and
+``explain --profile --json`` on a program that closes and one that gives
+up, each in a fresh process, and records stdout, stderr and the exit
+code of every case with elapsed times and the scratch directory masked
+(a profile's operator rows, listed hottest first, are sorted by clause,
+variant and step, their ``seconds`` masked).  Recording the
 matrix on two versions of the source tree and comparing the files shows
 every byte the change moved::
 
@@ -189,6 +192,9 @@ def cases():
     matrix.append(("ci run deadline", RUN + ["--deadline", "0"], None))
     matrix.append(("ci explain", ["explain", "program.dtl", "--edb", "edb.gdb"], None))
     matrix.append(("ci query diverge", ["query", "edb.gdb", "p(t)", "--program", "diverge.dtl"], None))
+    # explain --profile
+    for name, path in (("explain profile", "program.dtl"), ("explain profile gave-up", "diverge.dtl")):
+        matrix.append((name + " --json", ["explain", path, "--edb", "edb.gdb", "--profile", "--json"], None))
     return matrix
 
 
@@ -196,8 +202,20 @@ _ELAPSED = re.compile(r'("[a-z_]*(?:seconds|_s)": )-?[0-9.e+-]+')
 _ELAPSED_TEXT = re.compile(r"\([0-9.]+s elapsed\)")
 
 
+def _sorted_profile(text):
+    """An ``explain --profile --json`` report with its operator rows in
+    a fixed order; other output unchanged."""
+    try:
+        report = json.loads(text)
+        rows = report["profile"]["operators"]
+    except (ValueError, KeyError, TypeError):
+        return text
+    rows.sort(key=lambda row: (row["clause"] or "", row["variant"] or "", row["step"] or 0))
+    return json.dumps(report, indent=2) + "\n"
+
+
 def _mask(text, work):
-    text = text.replace(work, "<WORK>")
+    text = _sorted_profile(text.replace(work, "<WORK>"))
     text = _ELAPSED.sub(r"\1<T>", text)
     return _ELAPSED_TEXT.sub("(<T>s elapsed)", text)
 

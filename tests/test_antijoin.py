@@ -151,6 +151,30 @@ def test_empty_negated_relation_in_a_query():
     assert answers.relation.equivalent(edb.relation("a"))
 
 
+def test_untouched_row_is_split_on_the_negated_relations_period():
+    # p0's (n) where T1 = 1 overlaps nothing in a (the even T >= 0).
+    # Kept whole, its shifts (n) where T1 = 2, 3, ... were each new to
+    # p1 and the compiled run gave up where the reference closed; split
+    # on a's period 2, as the reference's complement join splits it,
+    # it is (2n+1) where T1 = 1 and the run closes in the same rounds.
+    edb = "relation a[1; 0] { (2n) where T1 >= 0; (n) where T1 = 0; }"
+    text = (
+        "p0(t) <- a(t).\np0(t + 1) <- p0(t), a(t).\n"
+        "p1(t) <- p0(t), not a(t).\np1(t + 1) <- p1(t)."
+    )
+    program, database = parse_program(text), parse_database(edb)
+    reference = DeductiveEngine(
+        program, database, strategy="naive", evaluation="reference",
+        max_rounds=40, patience=5,
+    ).run()
+    for strategy in ("naive", "semi-naive"):
+        compiled = DeductiveEngine(
+            program, database, strategy=strategy, max_rounds=40, patience=5
+        ).run()
+        assert str(compiled.relation("p1")) == str(reference.relation("p1"))
+    assert compiled.extension("p1", *WINDOW) == {(t,) for t in range(1, WINDOW[1])}
+
+
 # -- (c) a negated variable only an equality pins ----------------------------------
 
 

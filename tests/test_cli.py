@@ -7,6 +7,9 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.core import DeductiveEngine, parse_program
+from repro.gdb import parse_database
+from repro.util.errors import GiveUpError
 
 EDB = """
 relation course[2; 1] {
@@ -258,6 +261,41 @@ class TestOtherCommands:
         assert report["command"] == "explain"
         assert len(report["plan_fingerprint"]) == 64
         assert "scan" in report["plans"]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize(
+        "program, gives_up", [("program.dtl", False), ("diverge.dtl", True)]
+    )
+    def test_explain_profile(self, files, program, gives_up, as_json):
+        """``explain --profile`` profiles one run of the program; a run
+        that gives up is profiled on its partial model, exit code 0."""
+        argv = ["explain", files[program], "--edb", files["edb.gdb"], "--profile"]
+        code, output = run_cli(argv + (["--json"] if as_json else []))
+        assert code == 0
+        with open(files[program]) as handle:
+            engine = DeductiveEngine(parse_program(handle.read()), parse_database(EDB))
+        try:
+            stats = engine.run().stats
+        except GiveUpError as error:
+            stats = error.stats
+        assert stats.gave_up is gives_up
+        if as_json:
+            profile = json.loads(output)["profile"]
+            assert profile["operators"]
+            per_round = [
+                profile["derived_per_round"].get(str(number), 0)
+                for number in range(1, profile["stats"]["rounds"] + 1)
+            ]
+            assert per_round == profile["stats"]["derived_tuples_per_round"]
+            assert per_round == stats.derived_tuples_per_round
+            assert profile["stats"]["gave_up"] is gives_up
+        else:
+            lines = output.splitlines()
+            header = next(i for i, line in enumerate(lines) if line.startswith("op "))
+            assert lines[header + 1:]
+            summary = lines[header - 1]
+            assert summary.startswith("%% profile: %d rounds, " % stats.rounds)
+            assert summary.endswith("derived per round: %s" % stats.derived_tuples_per_round)
 
     def test_parse_error_exit_code(self, files, tmp_path):
         bad = tmp_path / "bad.dtl"

@@ -86,10 +86,6 @@ class TestAtomLowering:
         ops = sorted(a.op for a in eq.negated())
         assert ops == ["<", ">"]
 
-    def test_flipped(self):
-        atom = Comparison("<", TemporalTerm(0), TemporalTerm(1))
-        assert atom.flipped() == Comparison(">", TemporalTerm(1), TemporalTerm(0))
-
 
 class TestSystemAlgebra:
     def test_conjoin(self):

@@ -168,8 +168,6 @@ class TestStrategies:
             DeductiveEngine(program, edb, strategy="magic")
         with pytest.raises(ValueError):
             DeductiveEngine(program, edb, safety="wrong")
-        with pytest.raises(ValueError):
-            DeductiveEngine(program, edb, on_give_up="explode")
 
 
 class TestSmallPrograms:
@@ -294,8 +292,10 @@ class TestRecursion:
         # the paper describes for point-like EDBs.
         edb = parse_database("relation seed[1; 0] { (n) where T1 = 0; }")
         program = parse_program("p(t) <- seed(t). p(t + 5) <- p(t).")
-        engine = DeductiveEngine(program, edb, patience=5, on_give_up="partial")
-        model = engine.run()
+        engine = DeductiveEngine(program, edb, patience=5)
+        with pytest.raises(GiveUpError) as excinfo:
+            engine.run()
+        model = excinfo.value.partial_model
         assert model.stats.gave_up
         # The partial model is still sound: its points are derivable.
         assert model.relation("p").contains_point((0,))
@@ -373,10 +373,10 @@ class TestGiveUpPolicy:
     def test_max_rounds_cap(self):
         edb = parse_database("relation seed[1; 0] { (n) where T1 = 0; }")
         program = parse_program("p(t) <- seed(t). p(t + 5) <- p(t).")
-        engine = DeductiveEngine(
-            program, edb, patience=None, max_rounds=7, on_give_up="partial"
-        )
-        model = engine.run()
+        engine = DeductiveEngine(program, edb, patience=None, max_rounds=7)
+        with pytest.raises(GiveUpError) as excinfo:
+            engine.run()
+        model = excinfo.value.partial_model
         assert model.stats.gave_up
         assert model.stats.rounds == 7
 

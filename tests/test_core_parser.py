@@ -115,11 +115,6 @@ class TestProgramStructure:
         program = parse_program("p(t, u) <- q(t).")
         assert len(program) == 1
 
-    def test_clauses_for(self):
-        program = parse_program(EXAMPLE_41)
-        assert len(program.clauses_for("problems")) == 2
-        assert program.clauses_for("course") == []
-
 
 class TestNormalization:
     def test_head_offsets_become_constraints(self):

@@ -52,8 +52,9 @@ class TestGiveUp:
         assert not error.stats.constraint_safe
 
     def test_partial_mode_returns_model_and_flags_stats(self):
-        engine = make_engine(patience=3, on_give_up="partial")
-        model = engine.run()
+        with pytest.raises(GiveUpError) as info:
+            make_engine(patience=3).run()
+        model = info.value.partial_model
         assert model.stats.gave_up
         assert not model.stats.constraint_safe
         assert model.relation("p").contains_point((0,), ())
@@ -61,12 +62,14 @@ class TestGiveUp:
         assert (0,) in model.extension("p", 0, 3)
 
     def test_partial_model_matches_partial_mode(self):
-        """on_give_up='raise' and on_give_up='partial' expose the same
-        interpretation."""
+        """Giving up on patience and on the round cap after as many
+        rounds expose the same interpretation."""
         with pytest.raises(GiveUpError) as info:
             make_engine(patience=3).run()
         raised = info.value.partial_model
-        returned = make_engine(patience=3, on_give_up="partial").run()
+        with pytest.raises(GiveUpError) as capped:
+            make_engine(patience=None, max_rounds=raised.stats.rounds).run()
+        returned = capped.value.partial_model
         keys = lambda rel: sorted(gt.canonical_key() for gt in rel.tuples)
         assert keys(raised.relation("p")) == keys(returned.relation("p"))
 
@@ -76,8 +79,9 @@ class TestGiveUp:
         assert rounds == [1, 2, 3, 4]
 
     def test_patience_none_runs_to_max_rounds(self):
-        engine = make_engine(patience=None, max_rounds=5, on_give_up="partial")
-        model = engine.run()
+        with pytest.raises(GiveUpError) as info:
+            make_engine(patience=None, max_rounds=5).run()
+        model = info.value.partial_model
         assert model.stats.rounds == 5
         assert model.stats.gave_up
 

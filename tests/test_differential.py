@@ -73,7 +73,7 @@ def assert_goal_directed_agrees(oracle, goal):
     goal window; returns its outcome."""
     directed = settle(
         lambda: goal_directed_model(
-            DeductiveEngine(oracle.program, oracle.edb, on_give_up="raise", **LIMITS),
+            DeductiveEngine(oracle.program, oracle.edb, **LIMITS),
             goal,
         )[0]
     )
@@ -143,18 +143,21 @@ def test_resume_from_any_round_replays_the_run(case, tmp_path_factory):
         shutil.copyfile(target, copy)
         copies.append(str(copy))
 
-    def engine():
-        return DeductiveEngine(
-            program, edb, strategy=case.strategy, on_give_up="partial", **LIMITS
-        )
+    def outcome(**options):
+        """The run's model, or the partial model of a run that gives up."""
+        engine = DeductiveEngine(program, edb, strategy=case.strategy, **LIMITS)
+        try:
+            return engine.run(**options)
+        except GiveUpError as error:
+            return error.partial_model
 
     with mock.patch.object(engine_module, "write_checkpoint", copying_write):
-        clean = engine().run(
+        clean = outcome(
             checkpoint_every=1, checkpoint_path=str(workdir / "run.ckpt.json")
         )
     if not copies:
         return
-    resumed = engine().run(resume_from=copies[case.resume_at % len(copies)])
+    resumed = outcome(resume_from=copies[case.resume_at % len(copies)])
     assert str(resumed) == str(clean)
     stats = [model.stats.to_dict() for model in (resumed, clean)]
     for payload in stats:

@@ -188,6 +188,26 @@ class TestRetractionMaintenance:
         assert model.stats.maintain_degraded["reason"] == "rederive-budget"
         assert model.equivalent(scratch_model(store))
 
+    def test_rederive_budget_fallback_takes_one_snapshot(self, store, monkeypatch):
+        """The recompute reuses the engine the delta path built over
+        the target snapshot instead of taking a second one."""
+        maintained = MaterializedModel(PROGRAM, rederive_budget=0)
+        maintained.refresh(store)
+        store.apply([retract_course(COURSE)])
+        taken = []
+        snapshot = EdbStore.snapshot
+
+        def counting(handle, *args, **kwargs):
+            taken.append(args)
+            return snapshot(handle, *args, **kwargs)
+
+        monkeypatch.setattr(EdbStore, "snapshot", counting)
+        model = maintained.refresh(store)
+        assert maintained.last_report.reason == "rederive-budget"
+        assert len(taken) == 1
+        monkeypatch.undo()
+        assert model.equivalent(scratch_model(store))
+
 
 class TestDegradation:
     def test_schema_change_recomputes(self, store):

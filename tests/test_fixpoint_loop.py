@@ -10,10 +10,13 @@ serves semi-naive rounds and the maintainer's warm start.
 import shutil
 from unittest import mock
 
+import pytest
+
 import repro.core.engine as engine_module
 from repro.core import DeductiveEngine, parse_program
 from repro.gdb import parse_database
 from repro.util import hooks
+from repro.util.errors import GiveUpError
 from tests.e14 import workloads
 
 COURSE_EDB = """
@@ -83,10 +86,9 @@ def test_trace_ends_where_run_ends():
     # and so does the trace (it never enters stratum 1, where q would
     # derive 1 and 2).
     program = DIVERGING + "q(t) <- not p(t), t >= 0, t < 3."
-    model = engine(
-        program, SEED_EDB, max_rounds=4, patience=None, on_give_up="partial"
-    ).run()
-    assert model.stats.gave_up
+    with pytest.raises(GiveUpError) as info:
+        engine(program, SEED_EDB, max_rounds=4, patience=None).run()
+    assert info.value.stats.gave_up
     rounds = list(engine(program, SEED_EDB).trace(max_rounds=4))
     assert [number for number, _ in rounds] == [1, 2, 3, 4]
     assert all(set(fresh) == {"p"} for _, fresh in rounds)
@@ -158,14 +160,16 @@ def test_resume_from_the_round_that_runs_out_of_patience(tmp_path):
         copies.append(str(tmp_path / ("round%d.json" % len(copies))))
         shutil.copyfile(target, copies[-1])
 
-    def diverging():
-        return engine(DIVERGING, SEED_EDB, patience=3, on_give_up="partial")
+    def diverging(**kwargs):
+        with pytest.raises(GiveUpError) as info:
+            engine(DIVERGING, SEED_EDB, patience=3).run(**kwargs)
+        return info.value.partial_model
 
     with mock.patch.object(engine_module, "write_checkpoint", copying_write):
-        clean = diverging().run(
+        clean = diverging(
             checkpoint_every=1, checkpoint_path=str(tmp_path / "run.json")
         )
     assert clean.stats.gave_up
-    resumed = diverging().run(resume_from=copies[-1])
+    resumed = diverging(resume_from=copies[-1])
     assert resumed.stats.rounds == clean.stats.rounds
     assert str(resumed) == str(clean)

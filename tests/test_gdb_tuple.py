@@ -383,6 +383,13 @@ class TestContainmentAndDifference:
             covered |= {t[0] for t in times_in_window(piece, -6, 6)}
         assert covered == {-6, -4, -2, 0, 2, 4}
 
+    def test_subtract_aligns_on_a_given_period(self):
+        point = GeneralizedTuple((Lrp(1, 0),), (), ConstraintSystem.parse("T1 = 1", 1))
+        assert point.subtract([]) == [point]
+        (piece,) = point.subtract([], 2)
+        assert piece.lrps == (Lrp(2, 1),)
+        assert times_in_window(piece, -6, 6) == times_in_window(point, -6, 6)
+
     @given(small_tuples(), small_tuples())
     @settings(max_examples=40)
     def test_subtract_extensional(self, a, b):

@@ -130,15 +130,3 @@ class TestEnumeration:
     def test_enumerate_matches_membership(self, lrp, low, width):
         high = low + width
         assert list(lrp.enumerate(low, high)) == [t for t in range(low, high) if t in lrp]
-
-    @given(lrps, st.integers(-300, 300))
-    def test_smallest_at_least(self, lrp, bound):
-        value = lrp.smallest_at_least(bound)
-        assert value >= bound and value in lrp
-        assert all(t not in lrp for t in range(bound, value))
-
-    @given(lrps, st.integers(-300, 300))
-    def test_largest_at_most(self, lrp, bound):
-        value = lrp.largest_at_most(bound)
-        assert value <= bound and value in lrp
-        assert all(t not in lrp for t in range(value + 1, bound + 1))

@@ -25,6 +25,9 @@ from repro.plan.magic import (
     magic_predicate,
     rewrite_for_goal,
 )
+from repro.service.executor import JobExecutor
+from repro.service.jobs import JobSpec
+from repro.util.errors import SchemaError
 
 from tests.e14 import workloads
 
@@ -134,9 +137,9 @@ relation node[1; 1] {
 }
 """
     )
-    full = DeductiveEngine(program, edb, on_give_up="partial").run()
+    full = DeductiveEngine(program, edb).run()
     model, info = goal_directed_model(
-        DeductiveEngine(program, edb, on_give_up="partial"),
+        DeductiveEngine(program, edb),
         QueryGoal.windowed("free", 0, 10),
     )
     assert not info["degraded"]
@@ -149,14 +152,14 @@ def test_unknown_goal_predicate_degrades_to_full():
     with pytest.raises(MagicUnsupportedError):
         rewrite_for_goal(PROGRAM, QueryGoal.point("nosuch", 0))
     model, info = goal_directed_model(
-        DeductiveEngine(PROGRAM, EDB, on_give_up="partial"),
+        DeductiveEngine(PROGRAM, EDB),
         QueryGoal.point("nosuch", 0),
     )
     assert info["degraded"]
     assert model.stats.magic_degraded is not None
     assert "magic_degraded" in model.stats.to_dict()
     # The fallback is the full fixpoint: every predicate is complete.
-    full = DeductiveEngine(PROGRAM, EDB, on_give_up="partial").run()
+    full = DeductiveEngine(PROGRAM, EDB).run()
     assert model.equivalent(full)
 
 
@@ -164,6 +167,30 @@ def test_demand_prefix_collision_degrades():
     program = parse_program("_m__p(t) <- seed2(t). p(t) <- _m__p(t).")
     with pytest.raises(MagicUnsupportedError):
         rewrite_for_goal(program, QueryGoal.point("p", 0))
+
+
+def test_edb_arity_mismatch_outside_the_goal_cone_still_fails():
+    """The EDB check covers the whole program, not only the clauses a
+    goal-directed job runs: ``extra`` lies outside ``p``'s cone, and
+    the job fails with the same SchemaError a full run raises."""
+    program = "p(t; X) <- seed(t; X).\nother(t) <- extra(t; Y).\n"
+    edb = str(EDB) + "\nrelation extra[1; 0] { (n); }\n"
+    rewrite = rewrite_for_goal(parse_program(program), QueryGoal.whole("p"))
+    assert "other" not in rewrite.reachable
+    message = r"predicate 'extra': program uses arities \(1, 1\), EDB provides \(1, 0\)"
+    with pytest.raises(SchemaError, match=message):
+        DeductiveEngine(parse_program(program), parse_database(edb))
+    spec = JobSpec(
+        "mismatch",
+        "query",
+        program=program,
+        edb=edb,
+        query="p(t; X)",
+        window=(0, 24),
+        goal_directed=True,
+    )
+    with pytest.raises(SchemaError, match=message):
+        JobExecutor().execute(spec, "compiled")
 
 
 def test_goal_from_formula_single_atom():
@@ -267,9 +294,9 @@ def test_point_goal_derives_at_most_half_the_full_fixpoint():
     materialization, with the same answers in the window."""
     program, edb = workloads().multi_chain_workload(chains=4, period=24)
     goal = QueryGoal.point("meet3", 13)
-    full = DeductiveEngine(program, edb, on_give_up="partial").run()
+    full = DeductiveEngine(program, edb).run()
     directed, info = goal_directed_model(
-        DeductiveEngine(program, edb, on_give_up="partial"), goal
+        DeductiveEngine(program, edb), goal
     )
     assert not info.get("degraded"), info
     answers = set(directed.extension("meet3", 13, 14))
@@ -284,9 +311,9 @@ def test_reachability_goal_equals_full_fixpoint_with_fewer_tuples():
     fixpoint over two periods."""
     program, edb = workloads().multi_chain_workload(chains=4, period=24)
     goal = QueryGoal.whole("p1")
-    full = DeductiveEngine(program, edb, on_give_up="partial").run()
+    full = DeductiveEngine(program, edb).run()
     directed, info = goal_directed_model(
-        DeductiveEngine(program, edb, on_give_up="partial"), goal
+        DeductiveEngine(program, edb), goal
     )
     assert not info.get("degraded"), info
     answers = set(directed.extension("p1", 0, 48))

@@ -168,7 +168,7 @@ class TestRewrites:
         for low, high in windows:
             goal = QueryGoal.windowed("problems", low, high)
             rewrites.append(rewrite_for_goal(program, goal))
-            engine = DeductiveEngine(program, edb, on_give_up="partial")
+            engine = DeductiveEngine(program, edb)
             model, info = goal_directed_model(engine, goal)
             assert not info["degraded"]
             assert model.extension("problems", low, high) == full.extension(
@@ -206,9 +206,7 @@ class TestRewrites:
         assert "magic.rewrite" in kinds and "magic.seed" in kinds
 
     def test_degraded_goal_directed_model_runs_the_callers_engine(self, monkeypatch):
-        engine = DeductiveEngine(
-            parse_program(PROGRAM), parse_database(EDB), on_give_up="partial"
-        )
+        engine = DeductiveEngine(parse_program(PROGRAM), parse_database(EDB))
         built = []
         construct = ProgramEvaluator.__init__
 
@@ -218,7 +216,9 @@ class TestRewrites:
 
         monkeypatch.setattr(ProgramEvaluator, "__init__", counting)
         model, info = goal_directed_model(engine, QueryGoal.whole("nowhere"))
-        assert built == []
+        # The caller's engine compiles its own program, once, on the
+        # fallback; no second engine is built.
+        assert built == [engine.evaluator]
         assert list(info) == ["goal", "degraded", "reason"]
         assert info["goal"] == "nowhere" and info["degraded"]
         assert model.stats.magic_degraded == {
@@ -259,6 +259,34 @@ def test_goal_jobs_render_and_validate_each_program_once(monkeypatch):
     for name, programs in seen.items():
         assert programs, name
         assert max(Counter(map(id, programs)).values()) == 1, name
+
+
+def test_goal_job_compiles_only_the_guarded_program(monkeypatch):
+    """A goal-directed job whose rewrite applies compiles one program,
+    the guarded one: its full-program engine checks the program against
+    the EDB and lends its settings, and never runs."""
+    compiled = []
+    construct = ProgramEvaluator.__init__
+
+    def counting(evaluator, program, *args, **kwargs):
+        compiled.append(program)
+        construct(evaluator, program, *args, **kwargs)
+
+    monkeypatch.setattr(ProgramEvaluator, "__init__", counting)
+    spec = JobSpec(
+        "goal",
+        "query",
+        program=PROGRAM,
+        edb=EDB,
+        query="problems(t1, t2; X)",
+        window=(0, 120),
+        goal_directed=True,
+    )
+    result = JobExecutor().execute(spec, "compiled")
+    assert result.outcome == "ok" and not result.magic["degraded"]
+    goal = QueryGoal.windowed("problems", 0, 120)
+    guarded = rewrite_for_goal(memo.parsed("program", PROGRAM, parse_program), goal)
+    assert compiled == [guarded.program]
 
 
 class TestCaps:
@@ -320,9 +348,7 @@ def test_service_answers_equal_uncached_evaluation(monkeypatch):
         expected_goal = {}
         for window in windows:
             model, info = goal_directed_model(
-                DeductiveEngine(
-                    parse_program(PROGRAM), parse_database(EDB), on_give_up="partial"
-                ),
+                DeductiveEngine(parse_program(PROGRAM), parse_database(EDB)),
                 QueryGoal.windowed("problems", *window),
             )
             assert not info["degraded"]
