@@ -411,7 +411,7 @@ class DeductiveEngine:
             evaluation=self.evaluation,
         )
 
-    def maintain(self, relations, delta=None, budget=None):
+    def maintain(self, relations, delta, budget=None):
         """Continue the fixpoint from a warm intensional state instead
         of the empty one — the engine entry point of incremental
         maintenance (:mod:`repro.edb.maintain`).
@@ -419,18 +419,17 @@ class DeductiveEngine:
         ``relations`` maps intensional predicate names to relations
         that are a *sound under-approximation* of the least fixpoint
         over this engine's (already updated) EDB: the previous
-        materialization when only inserts happened, or the
-        DRed-surviving state after overdeletion.  ``delta`` maps
-        predicate names — intensional **or extensional** — to the
-        tuples that are new relative to the state ``relations`` was
-        computed against; those tuples must already be present in the
+        materialization when only inserts happened, or the DRed
+        survivors plus their rederived tuples after a retraction.
+        ``delta`` maps predicate names — intensional **or
+        extensional** — to the tuples that are new relative to a state
+        closed under T_P; those tuples must already be present in the
         EDB/``relations`` (the semi-naive invariant).  The first round
-        then fires each clause at every body position holding a delta
+        fires each clause at every body position holding a delta
         predicate (:meth:`ProgramEvaluator.seminaive_round`); later
         rounds are ordinary semi-naive rounds over the fresh tuples.
-        ``delta=None`` instead makes the first round a full naive
-        round — the DRed rederivation restart.  The rounds are
-        :meth:`run`'s own (one loop, with its round events).
+        An empty delta leaves the state as it is, after no round.  The
+        rounds are :meth:`run`'s own (one loop, with its round events).
 
         Only single-stratum programs without negation can be grown
         from a warm state (see :meth:`warm_start_blocker`); anything
@@ -449,12 +448,11 @@ class DeductiveEngine:
                     "predicate %r" % name
                 )
             env[name] = relation
-        if delta is not None:
-            delta = {name: list(tuples) for name, tuples in delta.items() if tuples}
-            if not delta:
-                # Nothing changed relative to the warm state.
-                stats.constraint_safe = True
-                return self._partial_model(env, stats)
+        delta = {name: list(tuples) for name, tuples in delta.items() if tuples}
+        if not delta:
+            # Nothing changed relative to the warm state.
+            stats.constraint_safe = True
+            return self._partial_model(env, stats)
         return self._evaluate(env, stats, budget, delta=delta)
 
     def warm_start_blocker(self):

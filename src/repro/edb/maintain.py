@@ -8,12 +8,23 @@ represented, infinite) model from scratch per transaction:
   EDB tuples become the first round's delta, fired at every body
   position — including extensional ones, which regular runs never seed
   (:meth:`~repro.core.engine.DeductiveEngine.maintain`);
-* **batches with retractions** run DRed-style overdelete/rederive:
-  clauses fire with the retracted tuples as deltas against the
-  *pre-retraction* state to over-approximate the derived tuples that
-  may have depended on them, those are removed, and the surviving
-  (sound, possibly incomplete) state is re-grown with one naive round
-  plus semi-naive rounds to the fixpoint;
+* **batches with retractions** run DRed (Gupta, Mumick and
+  Subrahmanian, SIGMOD 1993).  *Overdelete*: clauses fire with the
+  retracted tuples as deltas against the *pre-retraction* state, and
+  every model tuple that meets a head so derived (found through the
+  relation's data index) is removed, round by round — a sound
+  over-approximation of the tuples that lost support.  *Rederive*:
+  one naive round fires the clauses whose head lost tuples over the
+  survivors and the post-retraction EDB, and only the heads that meet
+  an overdeleted tuple go to the coverage sweep; the accepted ones
+  join the survivors.  That filter is sound because the old model was
+  closed under T_P and the old EDB contains the new one: every other
+  head lies, as ground points, in the old model minus the overdeleted
+  tuples, which is the survivors.  The fixpoint then continues
+  semi-naively from one delta, the rederived tuples plus the batch's
+  inserts (which the closure argument does not cover).  A retraction
+  thus costs one clause round over the model plus coverage tests in
+  proportion to what it overdeleted, not one test per model tuple;
 * anything the incremental path cannot handle soundly or cheaply —
   negation, multiple strata, a schema change, or an overdeletion
   larger than ``rederive_budget`` — **degrades to a from-scratch
@@ -43,6 +54,7 @@ from typing import Optional
 
 from repro.core.engine import DeductiveEngine
 from repro.core.parser import parse_program
+from repro.core.safety import CoverageChecker
 from repro.gdb.relation import GeneralizedRelation
 from repro.util import hooks
 from repro.util.hooks import fault_point
@@ -50,13 +62,18 @@ from repro.util.hooks import fault_point
 
 @dataclass
 class MaintainReport:
-    """What one :meth:`MaterializedModel.refresh` actually did."""
+    """What one :meth:`MaterializedModel.refresh` actually did.
+
+    ``overdeleted`` counts the model tuples a retraction's DRed pass
+    removed and ``rederived`` the tuples its rederive step accepted
+    back; ``rounds`` are the engine rounds after that step."""
 
     tx: int
     from_tx: Optional[int] = None
     inserted: int = 0
     retracted: int = 0
     overdeleted: int = 0
+    rederived: int = 0
     rounds: int = 0
     recomputed: bool = False
     reason: Optional[str] = None
@@ -69,6 +86,7 @@ class MaintainReport:
             "inserted": self.inserted,
             "retracted": self.retracted,
             "overdeleted": self.overdeleted,
+            "rederived": self.rederived,
             "rounds": self.rounds,
             "recomputed": self.recomputed,
             "reason": self.reason,
@@ -191,75 +209,128 @@ class MaterializedModel:
         relations = {
             name: self.model.relation(name) for name in self.model.predicates()
         }
+        delta = inserts
         if retracts:
-            survived = self._overdelete(engine, relations, retracts, report)
-            if survived is None:
+            overdeleted = self._overdelete(engine, relations, retracts, report)
+            if overdeleted is None:
                 return self._recompute(
                     engine, target, "rederive-budget", budget, report
                 )
-            relations = survived
-            delta = None  # naive rederivation restart
-        else:
-            delta = inserts
+            delta = self._rederive(engine, relations, overdeleted, report)
+            # The rederive filter holds for the old EDB only: the
+            # batch's inserts seed the same first delta.
+            for name, tuples in inserts.items():
+                delta[name] = delta.get(name, []) + list(tuples)
         # Give-up / budget / abort propagate: a recompute would fare no
         # better, and the typed error carries its partial model.
-        model = engine.maintain(relations, delta=delta, budget=budget)
+        model = engine.maintain(relations, delta, budget=budget)
         report.rounds = model.stats.rounds
         return self._finish(model, report)
 
-    # -- DRed overdeletion -------------------------------------------------
+    # -- DRed overdeletion and rederivation --------------------------------
 
     def _overdelete(self, engine, relations, retracts, report):
-        """Remove from ``relations`` every derived tuple that may
-        depend on a retracted EDB tuple; return the surviving state, or
-        None when the overdeletion outgrew ``rederive_budget``.
+        """Remove from ``relations`` (in place) every derived tuple that
+        may depend on a retracted EDB tuple; return the removed tuples
+        ``{predicate: [tuples]}``, or None when the overdeletion
+        outgrew ``rederive_budget``.
 
         Fires clause deltas against the *pre-retraction* environment
         (old EDB tuples are still present there), so every historical
         derivation that consumed a retracted tuple re-fires and its
-        head lands in the affected set — removal by non-empty
-        intersection with that set is therefore a sound
-        over-approximation of the tuples that lost support.
+        head lands in the affected set — removing every tuple that
+        meets an affected head is therefore a sound over-approximation
+        of the tuples that lost support.  A head's candidates come from
+        the relation's data index and are tested pairwise
+        (:meth:`~repro.gdb.tuple.GeneralizedTuple.intersect`).
         """
         evaluator = engine.evaluator
-        schemas = evaluator.schemas
         env_old = evaluator.initial_environment()
         for name, tuples in retracts.items():
             # initial_environment reflects the post-retraction EDB;
             # put the retracted tuples back for the overdelete rounds.
             env_old[name] = env_old[name].with_tuples(tuples)
-        surviving = dict(relations)
-        for name in surviving:
-            env_old[name] = surviving[name]
+        env_old.update(relations)
         delta = {name: list(tuples) for name, tuples in retracts.items()}
-        overdeleted = 0
+        gone = {}  # predicate -> positions in its relation
+        count = 0
         while delta:
             affected = evaluator.seminaive_round(env_old, delta)
             delta = {}
             for predicate, heads in affected.items():
-                if predicate not in surviving:
+                if predicate not in relations:
                     continue
-                schema = schemas[predicate]
-                affected_rel = GeneralizedRelation(schema[0], schema[1], heads)
-                kept, removed = [], []
-                for gt in surviving[predicate].tuples:
-                    one = GeneralizedRelation(schema[0], schema[1], [gt])
-                    if one.intersect(affected_rel).tuples:
-                        removed.append(gt)
-                    else:
-                        kept.append(gt)
-                if not removed:
+                relation = relations[predicate]
+                removed = gone.get(predicate, set())
+                fresh = _meeting(relation, heads, removed)
+                if not fresh:
                     continue
-                overdeleted += len(removed)
-                if overdeleted > self.rederive_budget:
-                    report.overdeleted = overdeleted
+                count += len(fresh)
+                if count > self.rederive_budget:
+                    report.overdeleted = count
                     return None
-                surviving[predicate] = GeneralizedRelation(
-                    schema[0], schema[1], kept
-                )
-                delta[predicate] = removed
-        report.overdeleted = overdeleted
-        return surviving
+                gone[predicate] = removed | fresh
+                delta[predicate] = [relation.tuples[index] for index in sorted(fresh)]
+        report.overdeleted = count
+        overdeleted = {}
+        for predicate, removed in gone.items():
+            relation = relations[predicate]
+            overdeleted[predicate] = [relation.tuples[index] for index in sorted(removed)]
+            relations[predicate] = relation.without(removed)
+        return overdeleted
+
+    def _rederive(self, engine, relations, overdeleted, report):
+        """DRed's rederive step: add to ``relations`` (in place) the
+        tuples derivable from the survivors and the post-retraction EDB
+        that meet an overdeleted tuple and that the survivors do not
+        cover, and return them ``{predicate: [tuples]}`` — the first
+        delta of the fixpoint that follows.
+
+        One naive round fires the clauses whose head lost tuples.  Only
+        heads meeting an overdeleted tuple go to the coverage sweep:
+        the old model was closed under T_P and the old EDB contains the
+        new one (inserts aside — they seed that first delta), so every
+        other head lies, as ground points, in the old model minus the
+        overdeleted tuples, that is in the survivors.
+        """
+        evaluator = engine.evaluator
+        env = evaluator.initial_environment()
+        env.update(relations)
+        firing = [
+            clause
+            for clause in evaluator.evaluators
+            if clause.head_predicate in overdeleted
+        ]
+        candidates = {}
+        for predicate, heads in evaluator.naive_round(env, firing).items():
+            derived = GeneralizedRelation(*evaluator.schemas[predicate], heads)
+            hits = _meeting(derived, overdeleted[predicate])
+            if hits:
+                candidates[predicate] = [heads[index] for index in sorted(hits)]
+        accepted = CoverageChecker(engine.safety).sweep(candidates, env)
+        for predicate, tuples in accepted.items():
+            relations[predicate] = relations[predicate].with_tuples(tuples)
+        report.rederived = sum(len(tuples) for tuples in accepted.values())
+        return accepted
+
+
+def _meeting(relation, heads, skip=frozenset()):
+    """Positions of the tuples of ``relation``, outside ``skip``, that
+    meet some tuple of ``heads``; candidates come from the first data
+    column's index."""
+    index = relation.data_index(0) if relation.data_arity else None
+    everything = range(len(relation.tuples))
+    meeting = set()
+    for head in heads:
+        positions = everything if index is None else index.get(head.data[0], ())
+        for position in positions:
+            if (
+                position not in skip
+                and position not in meeting
+                and relation.tuples[position].intersect(head) is not None
+            ):
+                meeting.add(position)
+    return meeting
 
 
 #: Maintained models a :class:`MaintainerCache` keeps.

@@ -140,6 +140,15 @@ class GeneralizedRelation:
         grown.coverage_generation = store.generation
         return grown
 
+    def without(self, positions):
+        """This relation minus the tuples at ``positions`` (indexes into
+        :attr:`tuples`); the kept tuples are not re-checked."""
+        return GeneralizedRelation._trusted(
+            self.temporal_arity,
+            self.data_arity,
+            [gt for index, gt in enumerate(self.tuples) if index not in positions],
+        )
+
     # -- structure ------------------------------------------------------------
 
     def __len__(self):
@@ -235,24 +244,7 @@ class GeneralizedRelation:
         result = []
         for a in self.tuples:
             for b in other.tuples:
-                if a.data != b.data:
-                    continue
-                lrps = []
-                empty = False
-                for la, lb in zip(a.lrps, b.lrps):
-                    meet = la.intersect(lb)
-                    if meet is None:
-                        empty = True
-                        break
-                    lrps.append(meet)
-                if empty:
-                    continue
-                constraints = a.constraints.conjoin(b.constraints)
-                if not constraints.is_satisfiable():
-                    continue
-                merged = GeneralizedTuple(
-                    tuple(lrps), a.data, constraints
-                ).propagate_equalities()
+                merged = a.intersect(b)
                 if merged is not None:
                     result.append(merged)
         return GeneralizedRelation(self.temporal_arity, self.data_arity, result)

@@ -570,6 +570,26 @@ class GeneralizedTuple:
 
     # -- comparison -------------------------------------------------------------
 
+    def intersect(self, other):
+        """The meet of two tuples of one schema: per-column lrp
+        intersection (CRT) plus constraint conjunction, or None when
+        the data differ, an lrp pair is disjoint or the conjunction is
+        unsatisfiable — each a proof that no ground tuple is shared."""
+        if self.data != other.data:
+            return None
+        lrps = []
+        for mine, theirs in zip(self.lrps, other.lrps):
+            meet = mine.intersect(theirs)
+            if meet is None:
+                return None
+            lrps.append(meet)
+        constraints = self.constraints.conjoin(other.constraints)
+        if not constraints.is_satisfiable():
+            return None
+        return GeneralizedTuple(
+            tuple(lrps), self.data, constraints
+        ).propagate_equalities()
+
     def contains_tuple(self, other):
         """Exact extension containment: ``other ⊆ self``.
 

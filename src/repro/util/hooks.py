@@ -45,8 +45,9 @@ Event kinds are dotted names; the canonical vocabulary is
 ``edb.recover``       one per store open: checkpoint tx, transactions
                       replayed from the WAL, torn bytes truncated
 ``maintain.delta``    one per materialized-model refresh: delta sizes,
-                      rounds, and whether (and why) the incremental
-                      path degraded to a from-scratch recompute
+                      tuples overdeleted and rederived, rounds, and
+                      whether (and why) the incremental path degraded
+                      to a from-scratch recompute
 ====================  ==================================================
 
 Every event dict carries at least ``phase`` (begin/end or a lifecycle

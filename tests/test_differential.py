@@ -23,7 +23,8 @@ second.  The modes:
   model and the same stats as the uninterrupted run;
 * **maintained** — after every transaction batch the refreshed model
   is ``equivalent()`` to a from-scratch run of the snapshot, with the
-  DRed budget at 0 (recompute fallback) or 64;
+  DRed budget at 0 (recompute fallback) or 64; one fixed case,
+  ``REDERIVE_CASE``, takes the DRed path with a non-empty rederive;
 * **give-up** — where the reference gives up (§4.4), a mode either
   raises :class:`GiveUpError` or returns a model that agrees with
   ground.  This rule holds in every mode above; the give-up test draws
@@ -39,7 +40,7 @@ Any other error escapes the mode and fails the case.
 import shutil
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import repro.core.engine as engine_module
 from repro.core import DeductiveEngine
@@ -51,6 +52,7 @@ from repro.util.errors import GiveUpError
 
 from tests.differential import (
     LIMITS,
+    Case,
     Oracle,
     assert_fixpoint_agrees,
     cases,
@@ -166,8 +168,26 @@ def test_resume_from_any_round_replays_the_run(case, tmp_path_factory):
     assert stats[0] == stats[1]
 
 
+#: A retraction on the DRed path whose rederive step is not empty:
+#: retracting ``(4n) where T1 >= 4`` overdeletes both ``p0`` tuples
+#: (and the ``p1`` tuples they derive), and ``a``'s other tuple
+#: rederives the first.
+REDERIVE_CASE = Case(
+    relations=(("a", 1, 0, ("(2n) where T1 >= 0", "(4n) where T1 >= 4")),),
+    program_text="p0(t) <- a(t).\np1(t + 1) <- p0(t).",
+    goal=("p1", 0, 10, ()),
+    batches=((("retract", "a", "(4n) where T1 >= 4"),),),
+    strategy="semi-naive",
+    resume_at=0,
+    rederive_budget=64,
+    window=(-24, 96),
+    interior=(0, 60),
+)
+
+
 @settings(max_examples=15, deadline=None)
 @given(case=cases())
+@example(case=REDERIVE_CASE)
 def test_maintained_model_matches_scratch_after_every_batch(case, tmp_path_factory):
     program = case.program()
     store = EdbStore(str(tmp_path_factory.mktemp("store")))

@@ -25,6 +25,11 @@ quiet(t) <- slot(t), not busy(t).
 COURSE = '(168n+8, 168n+10; "database") where T2 = T1 + 2'
 LOGIC = '(168n+20, 168n+22; "logic") where T2 = T1 + 2'
 ALGEBRA = '(168n+60, 168n+62; "algebra") where T2 = T1 + 2'
+#: COURSE's class a shift of 48 later: its problems chain is COURSE's
+#: from the second link on, so each of those tuples has two derivations.
+DATABASE_LATER = '(168n+56, 168n+58; "database") where T2 = T1 + 2'
+#: LOGIC's class a shift of 48 later.
+LOGIC_LATER = '(168n+68, 168n+70; "logic") where T2 = T1 + 2'
 
 
 def gt(text, ta=2, da=1):
@@ -178,6 +183,62 @@ class TestRetractionMaintenance:
         model = maintained.refresh(store)
         assert model.equivalent(scratch_model(store))
 
+    def test_overdeleted_tuple_with_second_derivation_is_rederived(self, store):
+        # Retracting DATABASE_LATER overdeletes the whole database
+        # chain; COURSE still derives its first link, which the
+        # rederive step accepts back and the fixpoint re-grows from.
+        store.apply([assert_course(DATABASE_LATER)])
+        maintained = MaterializedModel(PROGRAM)
+        maintained.refresh(store)
+        store.apply([retract_course(DATABASE_LATER)])
+        events = []
+        with hooks.subscribed(lambda kind, fields: events.append((kind, fields))):
+            model = maintained.refresh(store)
+        report = maintained.last_report
+        assert report.recomputed is False
+        assert report.overdeleted == 7
+        assert report.rederived == 1
+        assert report.rounds > 0
+        assert model.equivalent(scratch_model(store))
+        (delta,) = [fields for kind, fields in events if kind == "maintain.delta"]
+        assert delta["rederived"] == 1
+
+    def test_insert_re_supports_an_overdeleted_tuple(self, store):
+        # One batch retracts LOGIC and asserts LOGIC_LATER, whose
+        # problems chain is LOGIC's from the second link on.
+        store.apply([assert_course(LOGIC)])
+        maintained = MaterializedModel(PROGRAM)
+        maintained.refresh(store)
+        store.apply([retract_course(LOGIC), assert_course(LOGIC_LATER)])
+        model = maintained.refresh(store)
+        report = maintained.last_report
+        assert report.recomputed is False
+        assert report.overdeleted == 7
+        assert report.rederived == 1
+        assert model.equivalent(scratch_model(store))
+
+    def test_one_course_retraction_costs_no_round(self, tmp_path):
+        # The perfbench txn_fresh shape: 24 courses, each deriving 7
+        # problems tuples nothing else derives, under its DRed budget
+        # of 16.  Retracting one overdeletes its 7 tuples, rederives
+        # none, and leaves nothing for the fixpoint to do.
+        store = EdbStore(str(tmp_path / "store"))
+        try:
+            store.apply(
+                [declare_course()]
+                + [assert_course(stream_course(index)) for index in range(24)]
+            )
+            maintained = MaterializedModel(PROGRAM, rederive_budget=16)
+            maintained.refresh(store)
+            store.apply([retract_course(stream_course(5))])
+            model = maintained.refresh(store)
+            report = maintained.last_report
+            assert report.recomputed is False
+            assert (report.overdeleted, report.rederived, report.rounds) == (7, 0, 0)
+            assert model.equivalent(scratch_model(store))
+        finally:
+            store.close()
+
     def test_rederive_budget_degrades_to_recompute(self, store):
         maintained = MaterializedModel(PROGRAM, rederive_budget=0)
         maintained.refresh(store)
@@ -309,6 +370,7 @@ class TestEvents:
         assert deltas[0]["recomputed"] is True
         assert deltas[1]["recomputed"] is False
         assert deltas[1]["inserted"] == 1
+        assert deltas[1]["rederived"] == 0
         assert deltas[1]["tx"] == 2
 
 

@@ -32,7 +32,7 @@ REQUIRED_FIELDS = {
     "service.job": ("phase", "job_id"),
     "edb.txn": ("root", "tx", "asserted", "retracted", "wal_bytes"),
     "edb.recover": ("root", "checkpoint_tx", "replayed_txns", "truncated_bytes", "head_tx"),
-    "maintain.delta": ("tx", "inserted", "retracted", "rounds", "recomputed"),
+    "maintain.delta": ("tx", "inserted", "retracted", "rederived", "rounds", "recomputed"),
     "magic.rewrite": (
         "goal",
         "reachable",
