@@ -489,6 +489,9 @@ class DeductiveEngine:
     def _partial_model(self, env, stats, best_effort=False):
         """The (possibly partial) model for the current environment.
 
+        Normalizing checks only the tuples past each relation's normal
+        prefix and returns the relation itself when it drops nothing,
+        so the model shares the environment's relations and stores.
         With ``best_effort`` a failure during normalization (a fault
         plan can fire inside it) degrades to the raw relations instead
         of propagating — used when the model rides on an error that
@@ -617,14 +620,7 @@ class DeductiveEngine:
         checker = CoverageChecker(self.safety)
         strata = self.evaluator.stratum_evaluators
         stats.strata = len(strata)
-        known_signatures = {
-            name: free_signatures(env[name]) for name in self.evaluator.intensional
-        }
-        stratum_index = 0
-        if resume is not None:
-            for name, signatures in resume.known_signatures.items():
-                known_signatures[name] = set(signatures)
-            stratum_index = resume.stratum_index
+        stratum_index = 0 if resume is None else resume.stratum_index
         while stratum_index < len(strata):
             evaluators = strata[stratum_index]
             if meter is not None:
@@ -720,13 +716,18 @@ class DeductiveEngine:
                     closed = True
                     break
 
+                # The free signatures grew exactly when an accepted
+                # tuple's signature is missing from its relation's
+                # signature index before the append.
                 grew_signatures = False
                 for predicate, tuples in fresh.items():
-                    env[predicate] = env[predicate].with_tuples(tuples)
-                    for gt in tuples:
-                        if gt.free_signature() not in known_signatures[predicate]:
-                            known_signatures[predicate].add(gt.free_signature())
-                            grew_signatures = True
+                    relation = env[predicate]
+                    if not grew_signatures:
+                        grew_signatures = any(
+                            not relation.tuples_with_signature_id(gt.kernel_ids()[1])
+                            for gt in tuples
+                        )
+                    env[predicate] = relation.with_tuples(tuples)
                 if grew_signatures:
                     last_growth = stats.rounds
                 delta = fresh
@@ -753,7 +754,10 @@ class DeductiveEngine:
                                 name: env[name]
                                 for name in self.evaluator.intensional
                             },
-                            known_signatures=known_signatures,
+                            known_signatures={
+                                name: free_signatures(env[name])
+                                for name in self.evaluator.intensional
+                            },
                             stats=stats.to_dict(),
                             delta=delta,
                             complements=complements,

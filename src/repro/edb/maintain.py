@@ -7,7 +7,11 @@ represented, infinite) model from scratch per transaction:
 * **insert-only batches** warm-start the semi-naive fixpoint: the new
   EDB tuples become the first round's delta, fired at every body
   position — including extensional ones, which regular runs never seed
-  (:meth:`~repro.core.engine.DeductiveEngine.maintain`);
+  (:meth:`~repro.core.engine.DeductiveEngine.maintain`).  The model's
+  relations are the previous refresh's engine relations, so the warm
+  rounds grow their column stores (indexes and coverage memo already
+  built) and the final ``normalize`` checks only the appended rows:
+  apart from the store snapshot, an insert refresh costs its delta;
 * **batches with retractions** run DRed (Gupta, Mumick and
   Subrahmanian, SIGMOD 1993).  *Overdelete*: clauses fire with the
   retracted tuples as deltas against the *pre-retraction* state, and
@@ -24,7 +28,8 @@ represented, infinite) model from scratch per transaction:
   semi-naively from one delta, the rederived tuples plus the batch's
   inserts (which the closure argument does not cover).  A retraction
   thus costs one clause round over the model plus coverage tests in
-  proportion to what it overdeleted, not one test per model tuple;
+  proportion to what it overdeleted, not one test per model tuple,
+  plus rebuilding the survivors' column stores;
 * anything the incremental path cannot handle soundly or cheaply —
   negation, multiple strata, a schema change, or an overdeletion
   larger than ``rederive_budget`` — **degrades to a from-scratch

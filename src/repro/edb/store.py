@@ -42,6 +42,7 @@ from typing import Optional
 from repro.edb.wal import Wal
 from repro.gdb.database import GeneralizedDatabase
 from repro.gdb.parser import parse_generalized_tuple
+from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.tuple import GeneralizedTuple
 from repro.util import hooks
 from repro.util.errors import (
@@ -450,7 +451,9 @@ class EdbStore:
 
     def snapshot(self, tx=None):
         """The :class:`GeneralizedDatabase` visible as of ``tx``
-        (default: head).  Relations declared after ``tx`` are absent."""
+        (default: head).  Relations declared after ``tx`` are absent.
+        Each relation is built once from its live facts, in commit
+        order."""
         with self._lock:
             if tx is None:
                 tx = self._head_tx
@@ -458,9 +461,16 @@ class EdbStore:
             for name, (ta, da, declared_tx) in sorted(self._schemas.items()):
                 if declared_tx <= tx:
                     db.declare(name, ta, da)
+            live = {}
             for fact in self._facts.values():
                 if fact.live_at(tx):
-                    db.add_tuple(fact.relation, fact.gt)
+                    live.setdefault(fact.relation, []).append(fact.gt)
+            for name, tuples in live.items():
+                schema = db.schema(name)
+                db.set_relation(
+                    name,
+                    GeneralizedRelation(schema.temporal_arity, schema.data_arity, tuples),
+                )
             return db
 
     def delta_between(self, tx0, tx1):

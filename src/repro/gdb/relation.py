@@ -41,6 +41,7 @@ class GeneralizedRelation:
         "data_arity",
         "tuples",
         "_store",
+        "_normal",
         "coverage_generation",
     )
 
@@ -49,6 +50,7 @@ class GeneralizedRelation:
         self.data_arity = data_arity
         self.tuples = tuple(tuples)
         self._store = None
+        self._normal = 0
         self.coverage_generation = 0
         for gt in self.tuples:
             self._check(gt)
@@ -63,6 +65,7 @@ class GeneralizedRelation:
         relation.data_arity = data_arity
         relation.tuples = tuple(tuples)
         relation._store = None
+        relation._normal = 0
         relation.coverage_generation = 0
         return relation
 
@@ -137,17 +140,23 @@ class GeneralizedRelation:
             self.temporal_arity, self.data_arity, self.tuples + gts
         )
         grown._store = store
+        grown._normal = self._normal
         grown.coverage_generation = store.generation
         return grown
 
     def without(self, positions):
         """This relation minus the tuples at ``positions`` (indexes into
-        :attr:`tuples`); the kept tuples are not re-checked."""
-        return GeneralizedRelation._trusted(
+        :attr:`tuples`); the kept tuples are not re-checked, and the kept
+        part of the normal prefix (see :meth:`normalize`) stays normal."""
+        kept = GeneralizedRelation._trusted(
             self.temporal_arity,
             self.data_arity,
             [gt for index, gt in enumerate(self.tuples) if index not in positions],
         )
+        kept._normal = self._normal - len(
+            {index for index in positions if 0 <= index < self._normal}
+        )
+        return kept
 
     # -- structure ------------------------------------------------------------
 
@@ -394,25 +403,38 @@ class GeneralizedRelation:
     # -- normalization ------------------------------------------------------------------
 
     def normalize(self, prune_empty=True, prune_subsumed=False):
-        """Remove duplicate (and optionally empty / subsumed) tuples.
+        """Remove duplicate (and optionally empty / subsumed) tuples,
+        keeping the first copy of each in order.
+
+        A relation records how many of its leading tuples are known to
+        be normal (distinct ``row_key``, not empty): :meth:`with_tuples`
+        and :meth:`without` carry that count forward, so only the tail
+        past it is checked, against the column store's first-position
+        map.  When nothing is dropped the relation itself is returned,
+        store and caches included.
 
         ``prune_subsumed`` performs the exact pairwise containment test
         and is quadratic; it is off by default because the bottom-up
         engine has its own safety bookkeeping.
         """
-        seen = set()
-        kept = []
-        for gt in self.tuples:
+        start = self._normal
+        tuples = self.tuples
+        if start < len(tuples):
             # row_key is the interned (sid, cid) pair — an integer
             # compare bijective with canonical_key.
-            key = gt.row_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            if prune_empty and gt.is_empty():
-                continue
-            kept.append(gt)
+            first = self._ensure_store().first_positions()
+            tail = [
+                gt
+                for position, gt in enumerate(tuples[start:], start)
+                if first[gt.row_key()] == position
+                and not (prune_empty and gt.is_empty())
+            ]
+            if len(tail) < len(tuples) - start:
+                tuples = tuples[:start] + tuple(tail)
+            elif prune_empty:
+                self._normal = len(tuples)
         if prune_subsumed:
+            kept = list(tuples)
             changed = True
             while changed:
                 changed = False
@@ -422,7 +444,16 @@ class GeneralizedRelation:
                         kept.pop(index)
                         changed = True
                         break
-        return GeneralizedRelation(self.temporal_arity, self.data_arity, kept)
+            if len(kept) < len(tuples):
+                tuples = tuple(kept)
+        if tuples is self.tuples:
+            return self
+        normal = GeneralizedRelation._trusted(
+            self.temporal_arity, self.data_arity, tuples
+        )
+        if prune_empty:
+            normal._normal = len(tuples)
+        return normal
 
     def coalesce(self):
         """Heuristically merge tuples to shrink the representation.

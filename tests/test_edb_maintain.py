@@ -9,6 +9,7 @@ import pytest
 from repro.core import DeductiveEngine, parse_program
 from repro.edb import MAINTAINERS, EdbStore, MaintainerCache, MaterializedModel
 from repro.edb import maintain
+from repro.gdb import GeneralizedRelation, GeneralizedTuple
 from repro.gdb.parser import parse_generalized_tuple
 from repro.runtime.faults import FaultPlan, InjectedFaultError
 from repro.util import hooks
@@ -152,6 +153,58 @@ class TestMaintainAgainstRecompute:
         finally:
             store.close()
         assert refresh_work < scratch_work, (refresh_work, scratch_work)
+
+
+class TestCarriedStore:
+    """A refresh grows the previous model's relations in place of
+    rebuilding them: structure, not timing (perfbench's txn_fresh
+    carries the wall-clock claim)."""
+
+    def test_insert_refresh_extends_the_models_column_store(self, store, monkeypatch):
+        maintained = MaterializedModel(PROGRAM)
+        before = maintained.refresh(store).relation("problems")
+        old_rows = list(before.tuples)
+        store.apply([assert_course(LOGIC)])
+        scanned = []
+        normalize = GeneralizedRelation.normalize
+        is_empty = GeneralizedTuple.is_empty
+
+        def watched_normalize(relation, *args, **kwargs):
+            def counting_is_empty(gt):
+                scanned.append(gt)
+                return is_empty(gt)
+
+            monkeypatch.setattr(GeneralizedTuple, "is_empty", counting_is_empty)
+            try:
+                return normalize(relation, *args, **kwargs)
+            finally:
+                monkeypatch.setattr(GeneralizedTuple, "is_empty", is_empty)
+
+        monkeypatch.setattr(GeneralizedRelation, "normalize", watched_normalize)
+        after = maintained.refresh(store).relation("problems")
+        monkeypatch.undo()
+        assert maintained.last_report.recomputed is False
+        assert len(after) > len(old_rows)
+        # The same store object, the old rows a prefix of its rows.
+        assert after._store is before._store
+        assert after._store.rows[: len(old_rows)] == old_rows
+        assert list(after.tuples[: len(old_rows)]) == old_rows
+        # normalize looked at the new rows only.
+        assert scanned == list(after.tuples[len(old_rows) :])
+
+    def test_alternating_inserts_and_retractions_stay_equivalent(self, store):
+        maintained = MaterializedModel(PROGRAM)
+        maintained.refresh(store)
+        live = [COURSE]
+        for step in range(20):
+            if step % 2 == 0:
+                live.append(stream_course(step))
+                store.apply([assert_course(live[-1])])
+            else:
+                store.apply([retract_course(live.pop(0))])
+            model = maintained.refresh(store)
+            assert maintained.last_report.recomputed is False
+            assert model.equivalent(scratch_model(store)), step
 
 
 class TestRetractionMaintenance:

@@ -306,6 +306,50 @@ class TestNormalizeCoalesce:
         normalized = rel.normalize(prune_subsumed=True)
         assert normalized.extension(-W, W) == rel.extension(-W, W)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_grown_relation_normalizes_like_a_fresh_one(self, data):
+        # A normalized relation grown by with_tuples (copies of its own
+        # rows, repeats within the new tail, empty tuples) or shrunk by
+        # without checks only its tail, yet must normalize to exactly
+        # the sequence a scan of every tuple gives, and to itself when
+        # that scan drops nothing.
+        pool = data.draw(small_relations(max_tuples=4)).tuples + (
+            interval_tuple(5, 5),
+            interval_tuple(1, 3, period=4, offset=3),
+        )
+        relation = rel_of(*data.draw(st.lists(st.sampled_from(pool), max_size=5)))
+        relation = relation.normalize()
+        for _ in range(data.draw(st.integers(1, 4))):
+            if relation.tuples and data.draw(st.booleans()):
+                positions = data.draw(
+                    st.sets(st.integers(0, len(relation.tuples) - 1))
+                )
+                relation = relation.without(positions)
+            else:
+                rows = st.sampled_from(pool + relation.tuples)
+                relation = relation.with_tuples(
+                    data.draw(st.lists(rows, min_size=1, max_size=5))
+                )
+            expected = normalized_from_scratch(relation.tuples)
+            normalized = relation.normalize()
+            assert normalized.tuples == expected
+            assert (normalized is relation) == (len(expected) == len(relation))
+            if data.draw(st.booleans()):
+                relation = normalized
+
+
+def normalized_from_scratch(tuples):
+    """The first copy of each row key, empty tuples dropped, in order."""
+    seen, kept = set(), []
+    for gt in tuples:
+        if gt.row_key() in seen:
+            continue
+        seen.add(gt.row_key())
+        if not gt.is_empty():
+            kept.append(gt)
+    return tuple(kept)
+
 
 class TestProduct:
     def test_product(self):

@@ -11,6 +11,7 @@ import pytest
 import repro.core.engine as engine_module
 from repro.constraints.system import ConstraintSystem
 from repro.core import DeductiveEngine, parse_program
+from repro.core.safety import free_signatures
 from repro.gdb import parse_database
 from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.tuple import GeneralizedTuple
@@ -20,7 +21,7 @@ from repro.runtime.checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.util.errors import CheckpointError
+from repro.util.errors import CheckpointError, GiveUpError
 
 EDB = """
 relation course[2; 1] {
@@ -63,11 +64,9 @@ def comparable_stats(stats):
     return payload
 
 
-@pytest.fixture
-def every_checkpoint(tmp_path, monkeypatch):
-    """Run Example 4.1 checkpointing every round, keeping a copy of
-    each snapshot; returns (clean_model, [checkpoint paths])."""
-    path = tmp_path / "run.ckpt.json"
+def keep_every_checkpoint(tmp_path, monkeypatch):
+    """Make the engine keep a copy of each snapshot it writes; returns
+    the list the copies' paths are appended to."""
     copies = []
     original = engine_module.write_checkpoint
 
@@ -78,8 +77,16 @@ def every_checkpoint(tmp_path, monkeypatch):
         copies.append(str(copy))
 
     monkeypatch.setattr(engine_module, "write_checkpoint", copying_write)
+    return copies
+
+
+@pytest.fixture
+def every_checkpoint(tmp_path, monkeypatch):
+    """Run Example 4.1 checkpointing every round, keeping a copy of
+    each snapshot; returns (clean_model, [checkpoint paths])."""
+    copies = keep_every_checkpoint(tmp_path, monkeypatch)
+    path = tmp_path / "run.ckpt.json"
     model = make_engine().run(checkpoint_every=1, checkpoint_path=str(path))
-    monkeypatch.setattr(engine_module, "write_checkpoint", original)
     return model, copies
 
 
@@ -96,6 +103,44 @@ class TestResume:
                 clean.stats
             )
             assert resumed.stats.resumed_from_round is not None
+
+    def test_checkpoint_signatures_are_its_environments(self, every_checkpoint):
+        # The engine keeps no signature set of its own; a checkpoint
+        # computes known_signatures when it is written, so the on-disk
+        # format is unchanged and resuming needs none of it.
+        clean, copies = every_checkpoint
+        for copy in copies:
+            loaded = load_checkpoint(copy)
+            assert set(loaded.known_signatures) == set(loaded.env) == {"problems"}
+            for name, relation in loaded.env.items():
+                assert loaded.known_signatures[name] == free_signatures(relation)
+            resumed = make_engine().run(resume_from=copy)
+            assert str(resumed) == str(clean)
+            assert comparable_stats(resumed.stats) == comparable_stats(clean.stats)
+
+    def test_resumed_give_up_counts_signature_growth_from_its_environment(
+        self, tmp_path, monkeypatch
+    ):
+        # A diverging program's give-up round depends on when the free
+        # signatures last grew; a run resumed mid-way must give up at
+        # the same round with the same stats and partial model.
+        program = "p(t) <- seed(t).\np(t + 5) <- p(t).\n"
+        copies = keep_every_checkpoint(tmp_path, monkeypatch)
+        path = tmp_path / "diverge.ckpt.json"
+        with pytest.raises(GiveUpError) as clean:
+            make_engine(program, patience=3).run(
+                checkpoint_every=1, checkpoint_path=str(path)
+            )
+        assert len(copies) > 3
+        for copy in copies:
+            loaded = load_checkpoint(copy)
+            assert loaded.known_signatures["p"] == free_signatures(loaded.env["p"])
+            with pytest.raises(GiveUpError) as resumed:
+                make_engine(program, patience=3).run(resume_from=copy)
+            assert str(resumed.value.partial_model) == str(clean.value.partial_model)
+            assert comparable_stats(resumed.value.stats) == comparable_stats(
+                clean.value.stats
+            )
 
     def test_resume_restores_progress_counters(self, every_checkpoint):
         clean, copies = every_checkpoint
