@@ -34,7 +34,6 @@ from repro.core.evaluation import ProgramEvaluator, checked_schemas
 from repro.core.safety import (
     CoverageChecker,
     coverage_test,
-    free_signatures,
     is_free_extension_safe,
 )
 from repro.runtime.checkpoint import (
@@ -383,7 +382,7 @@ class DeductiveEngine:
             checkpoint_path=checkpoint_path,
         )
 
-    def run_goal_directed(self, goal, budget=None, widen_delay=None):
+    def run_goal_directed(self, goal, budget=None):
         """Evaluate goal-directedly for ``goal`` (a
         :class:`~repro.plan.magic.QueryGoal`) via the magic-set rewrite,
         falling back to the full fixpoint — with the degradation
@@ -392,11 +391,9 @@ class DeductiveEngine:
         :func:`~repro.plan.magic.goal_directed_model`; this engine
         compiles its own program only for that fallback.
         """
-        from repro.plan.magic import DEFAULT_WIDEN_DELAY, goal_directed_model
+        from repro.plan.magic import goal_directed_model
 
-        if widen_delay is None:
-            widen_delay = DEFAULT_WIDEN_DELAY
-        return goal_directed_model(self, goal, budget=budget, widen_delay=widen_delay)
+        return goal_directed_model(self, goal, budget=budget)
 
     def over(self, program, edb):
         """A new engine over ``program`` and ``edb`` with this engine's
@@ -746,16 +743,11 @@ class DeductiveEngine:
                         checkpoint_path,
                         Checkpoint(
                             fingerprint=self.fingerprint(),
-                            plan_fingerprint=self.evaluator.plan_fingerprint(),
                             stratum_index=stratum_index,
                             rounds_in_stratum=rounds_done,
                             last_growth=last_growth,
                             env={
                                 name: env[name]
-                                for name in self.evaluator.intensional
-                            },
-                            known_signatures={
-                                name: free_signatures(env[name])
                                 for name in self.evaluator.intensional
                             },
                             stats=stats.to_dict(),

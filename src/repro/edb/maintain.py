@@ -108,24 +108,15 @@ class MaterializedModel:
     store's head (or any requested ``tx``) by the cheapest sound path.
     Each refresh builds one engine over one snapshot (plan compilation
     is cheap relative to a fixpoint; schemas may have changed between
-    refreshes), with the default strategy and safety mode: warm rounds
-    are semi-naive whatever the strategy.
+    refreshes), with the engine's default strategy, safety mode, round
+    cap and patience: warm rounds are semi-naive whatever the strategy.
     """
 
-    def __init__(
-        self,
-        program_text,
-        evaluation="compiled",
-        rederive_budget=64,
-        max_rounds=500,
-        patience=10,
-    ):
+    def __init__(self, program_text, evaluation="compiled", rederive_budget=64):
         self.program_text = program_text
         self.program = parse_program(program_text)
         self.evaluation = evaluation
         self.rederive_budget = rederive_budget
-        self.max_rounds = max_rounds
-        self.patience = patience
         self.model = None
         self.tx = None
         self.last_report = None
@@ -134,13 +125,7 @@ class MaterializedModel:
     # -- engines -----------------------------------------------------------
 
     def _engine(self, edb):
-        return DeductiveEngine(
-            self.program,
-            edb,
-            evaluation=self.evaluation,
-            max_rounds=self.max_rounds,
-            patience=self.patience,
-        )
+        return DeductiveEngine(self.program, edb, evaluation=self.evaluation)
 
     # -- refresh -----------------------------------------------------------
 

@@ -12,6 +12,7 @@ shifts, under which the class of representable relations is closed.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from repro.constraints.system import ConstraintSystem
 from repro.gdb.store import ColumnStore
@@ -402,9 +403,9 @@ class GeneralizedRelation:
 
     # -- normalization ------------------------------------------------------------------
 
-    def normalize(self, prune_empty=True, prune_subsumed=False):
-        """Remove duplicate (and optionally empty / subsumed) tuples,
-        keeping the first copy of each in order.
+    def normalize(self):
+        """Remove duplicate and empty tuples, keeping the first copy of
+        each in order.
 
         A relation records how many of its leading tuples are known to
         be normal (distinct ``row_key``, not empty): :meth:`with_tuples`
@@ -412,75 +413,69 @@ class GeneralizedRelation:
         past it is checked, against the column store's first-position
         map.  When nothing is dropped the relation itself is returned,
         store and caches included.
-
-        ``prune_subsumed`` performs the exact pairwise containment test
-        and is quadratic; it is off by default because the bottom-up
-        engine has its own safety bookkeeping.
         """
         start = self._normal
         tuples = self.tuples
-        if start < len(tuples):
-            # row_key is the interned (sid, cid) pair — an integer
-            # compare bijective with canonical_key.
-            first = self._ensure_store().first_positions()
-            tail = [
-                gt
-                for position, gt in enumerate(tuples[start:], start)
-                if first[gt.row_key()] == position
-                and not (prune_empty and gt.is_empty())
-            ]
-            if len(tail) < len(tuples) - start:
-                tuples = tuples[:start] + tuple(tail)
-            elif prune_empty:
-                self._normal = len(tuples)
-        if prune_subsumed:
-            kept = list(tuples)
-            changed = True
-            while changed:
-                changed = False
-                for index, candidate in enumerate(kept):
-                    others = kept[:index] + kept[index + 1 :]
-                    if any(o.contains_tuple(candidate) for o in others):
-                        kept.pop(index)
-                        changed = True
-                        break
-            if len(kept) < len(tuples):
-                tuples = tuple(kept)
-        if tuples is self.tuples:
+        if start == len(tuples):
+            return self
+        # row_key is the interned (sid, cid) pair — an integer compare
+        # bijective with canonical_key.
+        first = self._ensure_store().first_positions()
+        tail = [
+            gt
+            for position, gt in enumerate(tuples[start:], start)
+            if first[gt.row_key()] == position and not gt.is_empty()
+        ]
+        if len(tail) == len(tuples) - start:
+            self._normal = len(tuples)
             return self
         normal = GeneralizedRelation._trusted(
-            self.temporal_arity, self.data_arity, tuples
+            self.temporal_arity, self.data_arity, tuples[:start] + tuple(tail)
         )
-        if prune_empty:
-            normal._normal = len(tuples)
+        normal._normal = len(normal.tuples)
         return normal
 
     def coalesce(self):
-        """Heuristically merge tuples to shrink the representation.
+        """Fold the relation into fewer, coarser tuples denoting the
+        same set: the form in which a closed form is printed.
 
-        Two exact rules are applied to fixpoint:
+        Two exact rules run until neither merges anything:
 
+        * *residue fold*, one temporal column at a time — tuples equal
+          in data, constraints and every other column's lrp, whose lrps
+          in this column share a period ``p``, and whose offsets fill
+          the residue class ``b (mod g)`` of a divisor ``g`` of ``p``,
+          become the one tuple with ``g·n + b`` in that column.
+          Coarsest ``g`` first, so ``6n``, ``6n+2`` and ``6n+4`` fold
+          to ``2n`` in one step;
         * *zone merge* — same lrps and data, and the convex hull of the
-          two zones adds no new points;
-        * *lrp merge* — same data and constraints, lrps equal except in
-          one column where the two residue classes unite into a single
-          coarser class.
+          two zones adds no new points.
+
+        A merged tuple takes the place of its first member, so a
+        relation with nothing to merge keeps its order.
         """
-        tuples = list(self.normalize().tuples)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(tuples)):
-                for j in range(i + 1, len(tuples)):
-                    merged = _try_merge(tuples[i], tuples[j])
-                    if merged is not None:
-                        tuples[i] = merged
-                        tuples.pop(j)
-                        changed = True
-                        break
-                if changed:
-                    break
-        return GeneralizedRelation(self.temporal_arity, self.data_arity, tuples)
+        entries = list(enumerate(self.normalize().tuples))
+        size = None
+        while size != len(entries):
+            size = len(entries)
+            for k in range(self.temporal_arity):
+                entries = _merge_groups(
+                    entries,
+                    lambda gt: (
+                        gt.data,
+                        gt.constraints,
+                        gt.lrps[:k],
+                        gt.lrps[k + 1 :],
+                        gt.lrps[k].period,
+                    ),
+                    lambda members: _fold_residues(members, k),
+                )
+            entries = _merge_groups(
+                entries, GeneralizedTuple.free_signature, _merge_zones
+            )
+        return GeneralizedRelation(
+            self.temporal_arity, self.data_arity, [gt for _, gt in entries]
+        )
 
     def __str__(self):
         header = "[%d; %d]" % (self.temporal_arity, self.data_arity)
@@ -497,34 +492,78 @@ class GeneralizedRelation:
         )
 
 
-def _try_merge(a, b):
-    """Attempt an exact merge of two tuples; None when not applicable."""
-    if a.data != b.data:
-        return None
-    if a.lrps == b.lrps:
-        hull = a.constraints.hull(b.constraints)
-        residue = hull.minus(a.constraints)
-        residue = [
-            piece
-            for system in residue
-            for piece in system.minus(b.constraints)
-        ]
-        if not residue:
-            return GeneralizedTuple(a.lrps, a.data, hull)
-        return None
-    if a.constraints == b.constraints:
-        differing = [
-            k for k, (la, lb) in enumerate(zip(a.lrps, b.lrps)) if la != lb
-        ]
-        if len(differing) == 1:
-            k = differing[0]
-            la, lb = a.lrps[k], b.lrps[k]
-            if la.period == lb.period and la.period % 2 == 0:
-                half = la.period // 2
-                if (la.offset - lb.offset) % la.period == half:
-                    merged = Lrp(half, la.offset)
-                    lrps = list(a.lrps)
-                    lrps[k] = merged
-                    return GeneralizedTuple(tuple(lrps), a.data, a.constraints)
-    return None
+def _merge_groups(entries, key, merge):
+    """One pass of a :meth:`GeneralizedRelation.coalesce` rule over its
+    ``(position, tuple)`` entries: ``merge`` rewrites each group of two
+    or more entries whose tuples share ``key``.  Returns the entries in
+    position order."""
+    groups = {}
+    for entry in entries:
+        groups.setdefault(key(entry[1]), []).append(entry)
+    if len(groups) == len(entries):
+        return entries
+    merged = []
+    for members in groups.values():
+        merged.extend(merge(members) if len(members) > 1 else members)
+    merged.sort(key=lambda entry: entry[0])
+    return merged
 
+
+def _fold_residues(members, k):
+    """The residue fold of one group: ``members`` differ only in the
+    offset of column ``k``'s lrp, whose period they share.
+
+    Each full residue class ``b (mod g)`` of the offsets, ``g`` a
+    divisor of the period, becomes one entry at its first member's
+    position.  ``g`` is tried coarsest first, through the cofactors
+    ``d = period / g`` that the number of offsets can fill, so each
+    divisor costs one count over the offsets present, and no residue
+    the group lacks is ever enumerated.  An offset seen twice (an
+    earlier fold rebuilt a tuple already present) keeps its first
+    entry.
+    """
+    period = members[0][1].lrps[k].period
+    by_offset = {}
+    for entry in members:
+        by_offset.setdefault(entry[1].lrps[k].offset, entry)
+    offsets = set(by_offset)
+    folded = []
+    for d in range(min(len(offsets), period), 1, -1):
+        if period % d or d > len(offsets):
+            continue
+        g = period // d
+        counts = Counter(offset % g for offset in offsets)
+        for b, count in counts.items():
+            if count < d:
+                continue
+            filled = range(b, period, g)
+            gt = by_offset[b][1]
+            lrps = gt.lrps[:k] + (Lrp(g, b),) + gt.lrps[k + 1 :]
+            folded.append(
+                (
+                    min(by_offset[offset][0] for offset in filled),
+                    GeneralizedTuple(lrps, gt.data, gt.constraints),
+                )
+            )
+            offsets.difference_update(filled)
+    folded.extend(by_offset[offset] for offset in offsets)
+    return folded
+
+
+def _merge_zones(members):
+    """The zone merge of one group (same lrps and data): each tuple
+    joins the first earlier one whose zone hull with it adds no
+    point."""
+    kept = []
+    for entry in members:
+        for index, (position, other) in enumerate(kept):
+            hull = other.constraints.hull(entry[1].constraints)
+            if not any(
+                system.minus(entry[1].constraints)
+                for system in hull.minus(other.constraints)
+            ):
+                kept[index] = (position, GeneralizedTuple(other.lrps, other.data, hull))
+                break
+        else:
+            kept.append(entry)
+    return kept

@@ -490,12 +490,7 @@ def _adorn_program(program, goal):
     return shared, rules_by_head
 
 
-def rewrite_for_goal(
-    program,
-    goal,
-    widen_delay=DEFAULT_WIDEN_DELAY,
-    max_demand_steps=DEFAULT_DEMAND_STEPS,
-):
+def rewrite_for_goal(program, goal):
     """Rewrite ``program`` for goal-directed evaluation of ``goal``.
 
     Only the demand fixpoint and the demand relations are computed per
@@ -535,10 +530,10 @@ def rewrite_for_goal(
     while worklist:
         predicate, key = worklist.pop()
         steps += 1
-        if steps > max_demand_steps:
+        if steps > DEFAULT_DEMAND_STEPS:
             raise MagicUnsupportedError(
                 "demand fixpoint for %s exceeded %d propagation steps"
-                % (goal, max_demand_steps)
+                % (goal, DEFAULT_DEMAND_STEPS)
             )
         zone = demand[predicate][key]
         for rule in rules_by_head.get(predicate, ()):
@@ -556,7 +551,7 @@ def rewrite_for_goal(
             merged = existing.hull(target_zone)
             merge_key = (rule.target, target_key)
             merges[merge_key] = merges.get(merge_key, 0) + 1
-            if merges[merge_key] > widen_delay:
+            if merges[merge_key] > DEFAULT_WIDEN_DELAY:
                 merged = _widen(existing, merged)
                 widenings += 1
             if not merged.implies(existing) or not existing.implies(merged):
@@ -705,7 +700,7 @@ def goal_from_formula(formula, idb, window=None):
     return QueryGoal.whole(atom.predicate, data), None
 
 
-def goal_directed_model(engine, goal, budget=None, widen_delay=DEFAULT_WIDEN_DELAY):
+def goal_directed_model(engine, goal, budget=None):
     """Evaluate ``engine``'s program goal-directedly for ``goal``.
 
     Returns ``(model, info)``: the model is complete for the goal
@@ -719,7 +714,7 @@ def goal_directed_model(engine, goal, budget=None, widen_delay=DEFAULT_WIDEN_DEL
     degradation ladder).  An early stop raises (:func:`run_reporting`).
     """
     try:
-        rewrite = rewrite_for_goal(engine.program, goal, widen_delay=widen_delay)
+        rewrite = rewrite_for_goal(engine.program, goal)
     except MagicUnsupportedError as error:
         return degraded_run(engine, str(error), budget, goal)
     info = rewrite.info()

@@ -309,86 +309,78 @@ class PlanVariant:
         JoinStep's source relation (env / delta / complement), or None
         for an absent predicate.  A missing or empty source empties the
         working set, except under an anti-join, which then removes
-        nothing."""
-        if hooks.SINKS:
-            return self._execute_observed(relation_for)
-        empty = GeneralizedRelation.empty(*self.projection.head_schema)
-        current = [_UNIT]
-        for step in self.steps:
-            if type(step) is CarrierStep:
-                current = step.apply(current)
-            else:
-                relation = relation_for(step)
-                if relation is None or not relation.tuples:
-                    if type(step) is AntiJoinStep:
-                        continue  # nothing to subtract
-                    return empty
-                current = step.apply(current, relation)
-            if not current:
-                return empty
-        return self.projection.apply(current)
+        nothing.
 
-    def _execute_observed(self, relation_for):
-        """The same pipeline, emitting one ``plan.operator`` event per
-        step with input/output cardinalities and wall time.  ``in_``
+        While a sink listens, each step emits one ``plan.operator``
+        event with input/output cardinalities and wall time (``in``
         counts working-set tuples entering the step, ``source`` the raw
         source relation, ``selected`` the source after pushed-down
-        selections, ``out`` the working set leaving the step."""
+        selections, ``out`` the working set leaving the step) and one
+        ``kernel.batch`` event (:meth:`_emit_batch`)."""
+        observing = bool(hooks.SINKS)
+        batch_stats = None
         empty = GeneralizedRelation.empty(*self.projection.head_schema)
         current = [_UNIT]
         for index, step in enumerate(self.steps):
-            started = time.perf_counter()
-            fields = {
-                "clause": self.clause,
-                "variant": self.variant_label,
-                "step": index,
-                "in": 0 if len(current) == 1 and current[0] is _UNIT else len(current),
-            }
-            batch_stats = {}
+            if observing:
+                started = time.perf_counter()
+                fields = {
+                    "clause": self.clause,
+                    "variant": self.variant_label,
+                    "step": index,
+                    "in": 0
+                    if len(current) == 1 and current[0] is _UNIT
+                    else len(current),
+                }
+                batch_stats = {}
+            batched = True
             if type(step) is CarrierStep:
-                fields["op"] = "carrier"
+                if observing:
+                    fields["op"] = "carrier"
                 current = step.apply(current, batch_stats)
             else:
-                fields["op"] = step.op
-                fields["predicate"] = step.predicate
                 relation = relation_for(step)
+                if observing:
+                    fields["op"] = step.op
+                    fields["predicate"] = step.predicate
                 if relation is None or not relation.tuples:
-                    kept = type(step) is AntiJoinStep
-                    fields.update(
-                        source=0, selected=0, out=len(current) if kept else 0,
-                        duration_s=time.perf_counter() - started,
-                    )
-                    hooks.emit("plan.operator", fields)
-                    if not kept:
-                        return empty
+                    if type(step) is not AntiJoinStep:
+                        current = ()
+                        batched = False
+                    if observing:
+                        fields.update(source=0, selected=0)
+                else:
+                    if observing:
+                        fields["source"] = len(relation.tuples)
+                        fields["selected"] = len(step.source_tuples(relation))
+                    current = step.apply(current, relation, batch_stats)
+            if observing:
+                fields["out"] = len(current)
+                fields["duration_s"] = time.perf_counter() - started
+                hooks.emit("plan.operator", fields)
+                if batched:
                     self._emit_batch(step, index, batch_stats)
-                    continue  # nothing to subtract
-                fields["source"] = len(relation.tuples)
-                fields["selected"] = len(step.source_tuples(relation))
-                current = step.apply(current, relation, batch_stats)
-            fields["out"] = len(current)
-            fields["duration_s"] = time.perf_counter() - started
-            hooks.emit("plan.operator", fields)
-            self._emit_batch(step, index, batch_stats)
             if not current:
                 return empty
-        started = time.perf_counter()
-        batch_stats = {}
+        if observing:
+            started = time.perf_counter()
+            batch_stats = {}
         result = self.projection.apply(current, batch_stats)
-        hooks.emit(
-            "plan.operator",
-            {
-                "clause": self.clause,
-                "variant": self.variant_label,
-                "step": len(self.steps),
-                "op": "projection",
-                "predicate": None,
-                "in": len(current),
-                "out": len(result.tuples),
-                "duration_s": time.perf_counter() - started,
-            },
-        )
-        self._emit_batch(self.projection, len(self.steps), batch_stats)
+        if observing:
+            hooks.emit(
+                "plan.operator",
+                {
+                    "clause": self.clause,
+                    "variant": self.variant_label,
+                    "step": len(self.steps),
+                    "op": "projection",
+                    "predicate": None,
+                    "in": len(current),
+                    "out": len(result.tuples),
+                    "duration_s": time.perf_counter() - started,
+                },
+            )
+            self._emit_batch(self.projection, len(self.steps), batch_stats)
         return result
 
     def _emit_batch(self, step, index, batch_stats):

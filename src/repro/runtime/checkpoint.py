@@ -2,22 +2,20 @@
 
 A checkpoint freezes everything :class:`~repro.core.engine.DeductiveEngine`
 needs to continue a run mid-stratum: the intensional relations, the
-last semi-naive delta, the stratum's negation complements, the known
-free-signature sets, the round counters, and the statistics so far —
-all serialized to JSON through the canonical ``to_json_dict`` forms of
-the gdb layer, so a resumed run replays bit-identically (same canonical
-relations, same stats modulo timings) to an uninterrupted one.
+last semi-naive delta, the stratum's negation complements, the round
+counters, and the statistics so far — all serialized to JSON through
+the canonical ``to_json_dict`` forms of the gdb layer, so a resumed run
+replays bit-identically (same canonical relations, same stats modulo
+timings) to an uninterrupted one.  A resumed run reads the free
+signatures off the restored relations, so none are stored.
 
 A fingerprint of the program text, the EDB text, the evaluation
-configuration, and the compiled plans is stored (the plan digest is
-both folded into the engine fingerprint and kept as a separate
-``plan_fingerprint`` field for inspection); resuming against anything
-else raises
-:class:`~repro.util.errors.CheckpointError` instead of silently
-computing garbage.  Writes are atomic (temp file + rename) so a crash
-during a write — the ``checkpoint_write`` fault site injects exactly
-that — can never leave a truncated checkpoint behind, and each file
-carries a sha256 ``digest`` of its own payload that
+configuration, and the compiled plans is stored; resuming against
+anything else raises :class:`~repro.util.errors.CheckpointError`
+instead of silently computing garbage.  Writes are atomic (temp file +
+rename) so a crash during a write — the ``checkpoint_write`` fault site
+injects exactly that — can never leave a truncated checkpoint behind,
+and each file carries a sha256 ``digest`` of its own payload that
 :func:`load_checkpoint` re-verifies, so bit rot after a clean write is
 refused with a typed error instead of resumed from.
 """
@@ -34,14 +32,13 @@ from typing import Optional
 
 from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.tuple import GeneralizedTuple
-from repro.lrp.point import Lrp
 from repro.util import hooks
 from repro.util.errors import CheckpointError
 from repro.util.files import atomic_write
 from repro.util.hooks import fault_point
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def engine_fingerprint(program_text, edb_text, strategy, safety, *extra):
@@ -65,27 +62,20 @@ class Checkpoint:
     rounds_in_stratum: int
     last_growth: int
     env: dict                       # predicate -> GeneralizedRelation (IDB only)
-    known_signatures: dict          # predicate -> set of (lrps, data)
     stats: dict                     # EvaluationStats.to_dict()
     delta: Optional[dict] = None    # predicate -> [GeneralizedTuple]
     complements: dict = field(default_factory=dict)
-    plan_fingerprint: str = ""      # repro.plan.explain.plan_fingerprint
 
     def to_json_dict(self):
         return {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "fingerprint": self.fingerprint,
-            "plan_fingerprint": self.plan_fingerprint,
             "stratum_index": self.stratum_index,
             "rounds_in_stratum": self.rounds_in_stratum,
             "last_growth": self.last_growth,
             "env": {
                 name: relation.to_json_dict() for name, relation in self.env.items()
-            },
-            "known_signatures": {
-                name: [_signature_to_json(s) for s in sorted(signatures, key=repr)]
-                for name, signatures in self.known_signatures.items()
             },
             "stats": self.stats,
             "delta": None
@@ -114,17 +104,12 @@ class Checkpoint:
             delta = payload["delta"]
             return cls(
                 fingerprint=payload["fingerprint"],
-                plan_fingerprint=payload.get("plan_fingerprint", ""),
                 stratum_index=payload["stratum_index"],
                 rounds_in_stratum=payload["rounds_in_stratum"],
                 last_growth=payload["last_growth"],
                 env={
                     name: GeneralizedRelation.from_json_dict(relation)
                     for name, relation in payload["env"].items()
-                },
-                known_signatures={
-                    name: {_signature_from_json(s) for s in signatures}
-                    for name, signatures in payload["known_signatures"].items()
                 },
                 stats=payload["stats"],
                 delta=None
@@ -142,18 +127,6 @@ class Checkpoint:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise CheckpointError("malformed checkpoint: %s" % error) from error
-
-
-def _signature_to_json(signature):
-    lrps, data = signature
-    return {"lrps": [[lrp.period, lrp.offset] for lrp in lrps], "data": list(data)}
-
-
-def _signature_from_json(payload):
-    return (
-        tuple(Lrp(period, offset) for period, offset in payload["lrps"]),
-        tuple(payload["data"]),
-    )
 
 
 #: Filename pattern of the temporary files :func:`write_checkpoint`

@@ -194,7 +194,7 @@ def test_maintained_model_matches_scratch_after_every_batch(case, tmp_path_facto
     try:
         store.apply(case.initial_ops())
         maintained = MaterializedModel(
-            case.program_text, rederive_budget=case.rederive_budget, **LIMITS
+            case.program_text, rederive_budget=case.rederive_budget
         )
         for ops in [[]] + case.batch_ops():
             if ops:

@@ -1,13 +1,18 @@
 """Tests for the generalized relation algebra."""
 
+import random
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import Comparison, ConstraintSystem, TemporalTerm
+from repro.core import DeductiveEngine
 from repro.gdb import GeneralizedRelation, GeneralizedTuple
 from repro.lrp import Lrp
 from repro.util.errors import SchemaError
+from tests.e14 import workloads
 
 W = 30
 
@@ -269,12 +274,6 @@ class TestNormalizeCoalesce:
         rel = GeneralizedRelation(2, 0, [empty_gt])
         assert len(rel.normalize()) == 0
 
-    def test_normalize_subsumed(self):
-        big = interval_tuple(0, 10)
-        small = interval_tuple(2, 5)
-        rel = rel_of(big, small)
-        assert len(rel.normalize(prune_subsumed=True)) == 1
-
     def test_coalesce_zone_merge(self):
         a = interval_tuple(0, 5)
         b = interval_tuple(5, 10)
@@ -303,7 +302,7 @@ class TestNormalizeCoalesce:
     @given(small_relations())
     @settings(max_examples=30)
     def test_normalize_preserves_extension(self, rel):
-        normalized = rel.normalize(prune_subsumed=True)
+        normalized = rel.normalize()
         assert normalized.extension(-W, W) == rel.extension(-W, W)
 
     @given(st.data())
@@ -337,6 +336,104 @@ class TestNormalizeCoalesce:
             assert (normalized is relation) == (len(expected) == len(relation))
             if data.draw(st.booleans()):
                 relation = normalized
+
+
+def residues(lrp, period):
+    """The residues modulo ``period`` (a multiple of the lrp's) it holds."""
+    return set(lrp.residues_modulo(period))
+
+
+@st.composite
+def residue_unions(draw):
+    """A period and a union of its residue classes, as one group of the
+    fold: tuples equal in everything but their lrp's offset."""
+    period = draw(st.sampled_from([1, 2, 4, 6, 8, 12, 18, 24, 30, 36, 48, 60]))
+    offsets = draw(st.sets(st.integers(0, period - 1), min_size=1))
+    return period, offsets
+
+
+class TestResidueFold:
+    """coalesce's residue fold: full residue classes of a coarser
+    modulus become one lrp, in one pass per group."""
+
+    def test_multi_chain_closed_forms_fold_to_period_two(self):
+        program, edb = workloads().multi_chain_workload(chains=6)
+        model = DeductiveEngine(program, edb).run()
+        p0, meet0 = model.relation("p0"), model.relation("meet0")
+        assert (len(p0), len(meet0)) == (96, 192)
+        for relation, folded_size in ((p0, 4), (meet0, 8)):
+            folded = relation.coalesce()
+            assert len(folded) == folded_size
+            assert {gt.lrps for gt in folded.tuples} <= {(Lrp(2, 0),), (Lrp(2, 1),)}
+            assert folded.equivalent(relation)
+
+    @given(residue_unions(), st.randoms(use_true_random=False))
+    @example((6, {0, 2, 4}), random.Random(0))  # a three-way merge
+    @settings(max_examples=80, deadline=None)
+    def test_fold_of_one_group_is_exact_disjoint_and_final(self, union, rng):
+        period, offsets = union
+        order = sorted(offsets)
+        rng.shuffle(order)
+        relation = rel_of(*(GeneralizedTuple((Lrp(period, b),)) for b in order))
+        folded = [gt.lrps[0] for gt in relation.coalesce().tuples]
+        window = 2 * period + 3
+        assert rel_of(
+            *(GeneralizedTuple((lrp,)) for lrp in folded)
+        ).extension(-window, window) == relation.extension(-window, window)
+        held = [residues(lrp, period) for lrp in folded]
+        assert sum(map(len, held)) == len(set().union(*held)) == len(offsets)
+        for g in range(1, period):
+            if period % g:
+                continue
+            for b in range(g):
+                inside = [lrp for lrp in folded if lrp.is_subset(Lrp(g, b))]
+                covered = sum(len(residues(lrp, period)) for lrp in inside)
+                assert len(inside) == 1 or covered < period // g, (g, b, folded)
+
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from([2, 4, 6, 12]),
+            st.integers(0, 11),
+            st.sampled_from([2, 4, 6, 12]),
+            st.integers(0, 11),
+            st.sampled_from(["a", "b"]),
+            st.sampled_from(["true", "T1 >= 0", "T2 <= T1 + 5"]),
+        ),
+        max_size=24,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_across_columns_keeps_the_extension(self, rows):
+        relation = rel_of(
+            *(
+                GeneralizedTuple(
+                    (Lrp(p1, b1), Lrp(p2, b2)), (x,), ConstraintSystem.parse(c, 2)
+                )
+                for p1, b1, p2, b2, x, c in rows
+            ),
+            m=2,
+            l=1,
+        )
+        folded = relation.coalesce()
+        assert len(folded) <= len(relation.normalize())
+        assert folded.extension(-14, 14) == relation.extension(-14, 14)
+
+    def test_a_thousand_classes_fold_to_every_instant(self):
+        relation = rel_of(*(GeneralizedTuple((Lrp(1000, b),)) for b in range(1000)))
+        started = time.perf_counter()
+        folded = relation.coalesce()
+        assert time.perf_counter() - started < 5.0
+        assert [gt.lrps for gt in folded.tuples] == [(Lrp(1, 0),)]
+
+    def test_coprime_periods_are_never_aligned(self):
+        # Aligning these three to the lcm of their periods would take
+        # about 10^9 residues; each is its own group, so nothing folds.
+        relation = rel_of(
+            *(GeneralizedTuple((Lrp(p, b),)) for p, b in ((1009, 0), (1013, 1), (1019, 2)))
+        )
+        started = time.perf_counter()
+        folded = relation.coalesce()
+        assert time.perf_counter() - started < 1.0
+        assert folded.tuples == relation.tuples
 
 
 def normalized_from_scratch(tuples):

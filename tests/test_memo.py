@@ -131,31 +131,22 @@ class TestCompiledPrograms:
 
 
 class TestRewrites:
-    def test_keys_differ_by_widen_delay_window_and_binding(self):
-        """Widen delay and window change only the per-goal demand; the
-        key, and with it the guarded program, differs by binding."""
+    def test_keys_differ_by_window_and_binding(self):
+        """The window changes only the per-goal demand; the key, and
+        with it the guarded program, differs by binding."""
         program = parse_program(PROGRAM)
         base = QueryGoal.windowed("problems", 0, 120)
         bound = QueryGoal.windowed("problems", 0, 120, {0: "database"})
-        variants = [
-            (base, 3),
-            (base, 1),
-            (QueryGoal.windowed("problems", 0, 60), 3),
-            (bound, 3),
-        ]
-        rewrites = [
-            rewrite_for_goal(program, goal, widen_delay=delay)
-            for goal, delay in variants
-        ]
+        goals = [base, QueryGoal.windowed("problems", 0, 60), bound]
+        rewrites = [rewrite_for_goal(program, goal) for goal in goals]
         assert list(memo.REWRITES.entries) == [
             (str(program), "problems", ()),
             (str(program), "problems", (0,)),
         ]
         assert rewrites[1].program is rewrites[0].program
-        assert rewrites[2].program is rewrites[0].program
-        assert rewrites[3].program is not rewrites[0].program
+        assert rewrites[2].program is not rewrites[0].program
         hits = memo.REWRITES.hits
-        again = rewrite_for_goal(parse_program(PROGRAM), base, widen_delay=3)
+        again = rewrite_for_goal(parse_program(PROGRAM), base)
         assert again.program is rewrites[0].program
         assert again.info() == rewrites[0].info()
         assert memo.REWRITES.hits == hits + 1

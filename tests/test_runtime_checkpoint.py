@@ -11,7 +11,6 @@ import pytest
 import repro.core.engine as engine_module
 from repro.constraints.system import ConstraintSystem
 from repro.core import DeductiveEngine, parse_program
-from repro.core.safety import free_signatures
 from repro.gdb import parse_database
 from repro.gdb.relation import GeneralizedRelation
 from repro.gdb.tuple import GeneralizedTuple
@@ -105,15 +104,11 @@ class TestResume:
             assert resumed.stats.resumed_from_round is not None
 
     def test_checkpoint_signatures_are_its_environments(self, every_checkpoint):
-        # The engine keeps no signature set of its own; a checkpoint
-        # computes known_signatures when it is written, so the on-disk
-        # format is unchanged and resuming needs none of it.
+        # A checkpoint stores no signature set: a resumed run reads the
+        # free signatures off the restored environment.
         clean, copies = every_checkpoint
         for copy in copies:
-            loaded = load_checkpoint(copy)
-            assert set(loaded.known_signatures) == set(loaded.env) == {"problems"}
-            for name, relation in loaded.env.items():
-                assert loaded.known_signatures[name] == free_signatures(relation)
+            assert set(load_checkpoint(copy).env) == {"problems"}
             resumed = make_engine().run(resume_from=copy)
             assert str(resumed) == str(clean)
             assert comparable_stats(resumed.stats) == comparable_stats(clean.stats)
@@ -133,8 +128,6 @@ class TestResume:
             )
         assert len(copies) > 3
         for copy in copies:
-            loaded = load_checkpoint(copy)
-            assert loaded.known_signatures["p"] == free_signatures(loaded.env["p"])
             with pytest.raises(GiveUpError) as resumed:
                 make_engine(program, patience=3).run(resume_from=copy)
             assert str(resumed.value.partial_model) == str(clean.value.partial_model)
@@ -191,16 +184,30 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
+    def test_earlier_version_is_refused(self, tmp_path):
+        # Version 2 files also carried known_signatures and
+        # plan_fingerprint; they load as a typed error, on which the
+        # service pool restarts the job from round 0.
+        path = tmp_path / "ck.json"
+        make_engine().run(checkpoint_every=1, checkpoint_path=str(path))
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 3
+        assert "known_signatures" not in payload
+        assert "plan_fingerprint" not in payload
+        del payload["digest"]
+        payload.update(version=2, known_signatures={}, plan_fingerprint="")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+            load_checkpoint(str(path))
+
     def test_round_trip(self, tmp_path):
         relation = parse_database(EDB).relation("course")
-        signatures = {gt.free_signature() for gt in relation.tuples}
         checkpoint = Checkpoint(
             fingerprint=engine_fingerprint("p", "e", "semi-naive", "paper"),
             stratum_index=0,
             rounds_in_stratum=2,
             last_growth=1,
             env={"problems": relation},
-            known_signatures={"problems": signatures},
             stats={"rounds": 2},
             delta=None,
             complements={},
@@ -211,7 +218,6 @@ class TestCheckpointFiles:
         assert loaded.fingerprint == checkpoint.fingerprint
         assert loaded.rounds_in_stratum == 2
         assert canon(loaded.env["problems"]) == canon(relation)
-        assert set(loaded.known_signatures["problems"]) == signatures
 
 
 class TestTypedLoadErrors:
@@ -302,7 +308,6 @@ class TestDurability:
             rounds_in_stratum=1,
             last_growth=1,
             env={"problems": relation},
-            known_signatures={"problems": set()},
             stats={"rounds": 1},
         )
 
