@@ -552,15 +552,18 @@ def _fold_residues(members, k):
 
 def _merge_zones(members):
     """The zone merge of one group (same lrps and data): each tuple
-    joins the first earlier one whose zone hull with it adds no
-    point."""
+    joins the first earlier one whose zone hull with it adds no point
+    of the lrps' lattice (``(2n) where 0 <= T1 <= 4`` and ``(2n) where
+    6 <= T1 <= 10`` hull to ``0 <= T1 <= 10``: the gap holds no even
+    time)."""
     kept = []
     for entry in members:
         for index, (position, other) in enumerate(kept):
             hull = other.constraints.hull(entry[1].constraints)
-            if not any(
-                system.minus(entry[1].constraints)
+            if all(
+                GeneralizedTuple(other.lrps, other.data, piece).is_empty()
                 for system in hull.minus(other.constraints)
+                for piece in system.minus(entry[1].constraints)
             ):
                 kept[index] = (position, GeneralizedTuple(other.lrps, other.data, hull))
                 break

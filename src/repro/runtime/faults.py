@@ -38,10 +38,11 @@ Instrumented sites
     Entry of :meth:`repro.service.pool.QueryService.submit` — one hit
     per job submission.
 ``worker_start``
-    A service worker picking up a job from the queue (before any
-    evaluation).  Injecting
-    :class:`~repro.util.errors.WorkerDiedError` here deterministically
-    "kills" whichever worker makes that hit.
+    A service worker starting an attempt of a job, before any
+    evaluation — one hit per attempt.  A fault here goes through the
+    service's one retry/degrade/fail classifier like any error of the
+    attempt: a transient one is retried on the same thread, a
+    permanent one takes the reference-backend rung.
 ``result_return``
     A service worker about to hand a finished attempt's result back to
     the supervisor — a fault here loses the attempt after the work was
@@ -66,9 +67,9 @@ Fault classification
 --------------------
 :class:`TransientFaultError` subclasses :class:`InjectedFaultError`;
 the service retry policy (:mod:`repro.service.retry`) retries
-transient faults and worker deaths with backoff, and fails fast on
-everything else — so retry-vs-fail-fast behavior in tests is a
-property of the injected plan, not of timing.
+transient faults with backoff, and fails fast on everything else — so
+retry-vs-fail-fast behavior in tests is a property of the injected
+plan, not of timing.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.util import hooks
-from repro.util.errors import ReproError, WorkerDiedError
+from repro.util.errors import ReproError
 
 #: The site names the library instruments.
 SITES = (
@@ -118,9 +119,8 @@ class InjectedFaultError(ReproError):
 class TransientFaultError(InjectedFaultError):
     """An injected fault that models a *transient* failure.
 
-    The service retry policy treats exactly this class (plus
-    :class:`~repro.util.errors.WorkerDiedError`) as retryable, so a
-    fault plan chooses deterministically whether an injection is
+    The service retry policy treats exactly this class as retryable,
+    so a fault plan chooses deterministically whether an injection is
     retried with backoff+resume or fails the job fast.
     """
 
@@ -147,7 +147,6 @@ class ProcessKillFault:
 ERROR_NAMES = {
     "injected": None,  # default InjectedFaultError (permanent)
     "transient": TransientFaultError,
-    "worker-died": WorkerDiedError,
     "runtime": RuntimeError,
     "sigkill": ProcessKillFault,
 }
@@ -248,7 +247,7 @@ class FaultPlan:
         ``at``, ``repeat``, ``every``, ``delay_seconds``, ``raises``,
         and ``error`` — the error being one of the names in
         :data:`ERROR_NAMES` (``"injected"``, ``"transient"``,
-        ``"worker-died"``, ``"runtime"``).
+        ``"runtime"``, ``"sigkill"``).
         """
         if isinstance(payload, dict):
             payload = payload.get("specs", [])

@@ -12,20 +12,20 @@ layered:
   still remaining, so evaluation stops cooperatively and returns the
   typed partial model (the ladder's second rung) instead of running
   long.
-* **Retry + resume.**  Transient failures
-  (:class:`~repro.runtime.faults.TransientFaultError`,
-  :class:`~repro.util.errors.WorkerDiedError`) are retried with
-  exponential backoff and deterministic seeded jitter
-  (:class:`~repro.service.retry.RetryPolicy`); ``run`` attempts resume
-  from the job's last round-granular checkpoint rather than restarting
-  from round 0.
-* **Supervision.**  A monitor thread detects dead workers (a
-  ``worker_start`` fault injecting
-  :class:`~repro.util.errors.WorkerDiedError` deterministically kills
-  one) and hung workers (an attempt overrunning its deadline by the
-  configured grace), requeues their jobs *excluding* the failed
-  worker, and starts replacements.  Results from an abandoned worker
-  are discarded by ownership checks, so a job never completes twice.
+* **Retry + resume.**  Every error of an attempt, from its
+  ``worker_start`` to its ``result_return``, goes through one
+  classifier: transient failures
+  (:class:`~repro.runtime.faults.TransientFaultError`) are retried on
+  the same thread with exponential backoff and deterministic seeded
+  jitter (:class:`~repro.service.retry.RetryPolicy`); ``run`` attempts
+  resume from the job's last round-granular checkpoint rather than
+  restarting from round 0.
+* **Supervision.**  A worker thread never dies under a job, so the
+  monitor thread only handles hangs: a worker still running its job
+  :data:`HANG_GRACE` past the job's deadline is abandoned, the job
+  resolves to its typed ``partial`` result, and a replacement starts.
+  The abandoned attempt's result is discarded by an ownership check,
+  so a job never completes twice.
 * **Circuit breaker.**  Programs that keep failing terminally trip a
   per-program breaker (:class:`~repro.service.breaker.CircuitBreaker`);
   further jobs for the same program are rejected typed-and-instantly
@@ -78,7 +78,6 @@ from repro.util.errors import (
     ReproError,
     SchemaError,
     ServiceError,
-    WorkerDiedError,
 )
 from repro.util import hooks
 from repro.util.hooks import fault_point
@@ -95,15 +94,15 @@ SERVICE_BUCKETS = (
 HANG_GRACE = 1.0
 
 #: Seconds between the supervisor's checks while the pool drains on
-#: close; otherwise it waits for the next deadline, a submit, a close
-#: or a worker exit.
+#: close; otherwise it waits for the next deadline, a submit or a close.
 SUPERVISE_INTERVAL = 0.02
 
 #: A ``run`` attempt checkpoints after every round, so a retry loses
 #: at most one round of work.
 CHECKPOINT_EVERY = 1
 
-#: Replacement workers one service starts over its lifetime.
+#: Replacement workers (one per hung worker) one service starts over
+#: its lifetime.
 MAX_WORKER_RESTARTS = 32
 
 
@@ -145,9 +144,7 @@ class _Job:
         "attempts",
         "backend",
         "degradation",
-        "excluded_workers",
         "resumed",
-        "pending_delay",
         "submitted_at",
         "deadline_at",
         "owner",
@@ -163,9 +160,7 @@ class _Job:
         self.attempts = 0
         self.backend = BACKEND_COMPILED
         self.degradation = []
-        self.excluded_workers = set()
         self.resumed = False
-        self.pending_delay = 0.0
         self.submitted_at = now
         deadline = spec.deadline_seconds
         if deadline is None:
@@ -186,12 +181,10 @@ class _Job:
 
 
 class _Worker:
-    """One pool thread plus the supervisor-visible flags."""
+    """One pool thread plus the supervisor-visible state."""
 
     def __init__(self, name, service):
         self.name = name
-        self.service = service
-        self.dead = False
         self.abandoned = False
         self.current_job = None
         self.started_at = None
@@ -200,7 +193,7 @@ class _Worker:
         )
 
     def alive(self):
-        return self.thread.is_alive() and not self.dead and not self.abandoned
+        return self.thread.is_alive() and not self.abandoned
 
 
 class QueryService:
@@ -377,8 +370,8 @@ class QueryService:
                     )
                 self._queue.append(job)
                 depth = len(self._queue)
-                # Every idle worker re-checks: one the job excludes
-                # must not swallow the only wake-up.
+                # Workers and the supervisor (the job's deadline) share
+                # this condition: one notify could wake only the latter.
                 self._cond.notify_all()
         except ReproError as error:
             if isinstance(error, OverloadedError):
@@ -500,7 +493,6 @@ class QueryService:
                     "failed",
                     "rejected",
                     "retries",
-                    "requeues",
                     "resumed",
                     "degraded_backend",
                     "degraded_partial",
@@ -561,59 +553,31 @@ class QueryService:
     # -- the worker loop --------------------------------------------------
 
     def _worker_main(self, worker):
-        try:
-            while True:
-                job = self._next_job(worker)
-                if job is None:
-                    return
-                if not self._claim(job, worker):
-                    continue
-                try:
-                    self._process(job, worker)
-                except WorkerDiedError as death:
-                    # This worker is gone: hand the job back (excluding
-                    # ourselves) and stop the loop; the supervisor
-                    # restarts it.
-                    worker.dead = True
-                    self._release(job, worker)
-                    self._handle_worker_death(job, worker, death)
-                    return
-                finally:
-                    self._release(job, worker)
-                    if worker.abandoned:
-                        return
-        finally:
-            # Wake the supervisor: an exit before close is a death it
-            # must see without polling for it.
-            with self._cond:
-                if not self._stopping:
-                    worker.dead = True
-                self._cond.notify_all()
+        while True:
+            job = self._next_job(worker)
+            if job is None:
+                return
+            if not self._claim(job, worker):
+                continue
+            try:
+                self._process(job, worker)
+            finally:
+                self._release(job, worker)
+            if worker.abandoned:
+                return
 
     def _next_job(self, worker):
         with self._cond:
-            while True:
-                job = self._pop_runnable(worker)
-                if job is not None:
-                    # Held from the pop on, so the supervisor's next
-                    # deadline always counts the job (queued or held).
-                    worker.current_job = job
-                    return job
-                if self._stopping and not self._queue:
+            while not self._queue:
+                if self._stopping:
                     return None
-                # Idle workers sleep until a submit, requeue or close;
-                # while draining they re-check for the queue to empty.
-                self._cond.wait(SUPERVISE_INTERVAL if self._stopping else None)
-
-    def _pop_runnable(self, worker):
-        """The first queued job this worker is not excluded from."""
-        for _ in range(len(self._queue)):
+                # Idle workers sleep until a submit or close.
+                self._cond.wait()
             job = self._queue.popleft()
-            if worker.name in job.excluded_workers:
-                self._queue.append(job)
-                continue
+            # Held from the pop on, so the supervisor's next deadline
+            # always counts the job (queued or held).
+            worker.current_job = job
             return job
-        return None
 
     def _claim(self, job, worker):
         with job.lock:
@@ -650,18 +614,8 @@ class QueryService:
         worker.started_at = None
 
     def _process(self, job, worker):
-        """Run attempts of ``job`` until it is terminal or this worker
-        cannot continue (death propagates as WorkerDiedError)."""
-        if job.pending_delay > 0.0:
-            delay, job.pending_delay = job.pending_delay, 0.0
-            time.sleep(delay)
-        try:
-            fault_point("worker_start")
-        except WorkerDiedError:
-            # The pickup itself consumed an attempt: repeated deaths
-            # must converge on a terminal failure, not requeue forever.
-            job.attempts += 1
-            raise
+        """Run attempts of ``job`` until it is terminal: every error an
+        attempt raises is retried, degraded or failed here."""
         try:
             # Re-check with the job as probe token: if this job holds
             # the half-open probe slot it claimed at submit time, the
@@ -704,14 +658,13 @@ class QueryService:
                 self._finish_deadline(job, worker, outcome_error=None)
                 return
             try:
+                fault_point("worker_start")
                 outcome = self._attempt(job, remaining)
                 if outcome.outcome == "aborted":
                     # An abort is a failure to classify (retry, degrade
                     # or fail), not a partial result.
                     raise outcome.error
                 fault_point("result_return")
-            except WorkerDiedError:
-                raise
             except Exception as error:
                 if self.retry.retryable(error, job.attempts):
                     self._count("retries")
@@ -788,9 +741,9 @@ class QueryService:
             if job.handle.done():
                 return
             if worker is not None and job.owner is not worker:
-                # The supervisor reassigned this job (the worker was
-                # abandoned as hung); the stale attempt's result must
-                # not beat the requeued one.
+                # The supervisor abandoned this worker as hung and
+                # resolved the job itself; the stale attempt's result
+                # is discarded.
                 return
             result.elapsed_seconds = now - job.submitted_at
             result.worker = None if worker is None else worker.name
@@ -884,7 +837,10 @@ class QueryService:
         )
 
     def _finish_deadline(self, job, worker, outcome_error):
-        """The job's deadline elapsed before an attempt could start."""
+        """The job's deadline elapsed before an attempt could start, or
+        while a hung worker held it."""
+        if job.handle.done():
+            return
         if "partial-model" not in job.degradation:
             job.degradation.append("partial-model")
         self._count("degraded_partial")
@@ -923,24 +879,6 @@ class QueryService:
             ),
         )
 
-    def _handle_worker_death(self, job, worker, death):
-        """Requeue a dead worker's job, excluding that worker."""
-        job.excluded_workers.add(worker.name)
-        if self.retry.retryable(death, job.attempts):
-            job.pending_delay = self._bounded_delay(job)
-            self._count("retries")
-            self._requeue(job)
-        else:
-            self._finish_failure(job, None, death)
-
-    def _requeue(self, job):
-        self._count("requeues")
-        with self._cond:
-            self._queue.appendleft(job)
-            # The job excludes the worker that lost it: wake every idle
-            # worker so one it allows takes it.
-            self._cond.notify_all()
-
     # -- supervision ------------------------------------------------------
 
     def _supervise(self):
@@ -953,10 +891,7 @@ class QueryService:
                     )
                     if not alive_busy:
                         return
-                if not any(
-                    worker.dead and not worker.abandoned for worker in self._workers
-                ):
-                    self._cond.wait(self._supervise_timeout())
+                self._cond.wait(self._supervise_timeout())
             self._check_workers()
             self._expire_queued_jobs()
 
@@ -976,23 +911,39 @@ class QueryService:
         return timeout
 
     def _check_workers(self):
+        """Abandon every worker still running its job :data:`HANG_GRACE`
+        past the job's deadline: the job resolves to its typed partial
+        result and one replacement worker starts."""
         with self._cond:
             workers = list(self._workers)
+        now = self._clock()
         for worker in workers:
-            if worker.abandoned:
+            job = worker.current_job
+            if (
+                worker.abandoned
+                or job is None
+                or worker.started_at is None
+                or job.deadline_at is None
+                or now <= job.deadline_at + HANG_GRACE
+            ):
                 continue
-            if worker.dead or not worker.thread.is_alive():
-                with self._cond:
-                    if worker in self._workers:
-                        self._workers.remove(worker)
-                self._recover_orphan(worker)
-                self._restart_worker()
-                continue
-            if self._hung(worker):
-                worker.abandoned = True
-                self._count("workers_abandoned")
-                self._recover_orphan(worker)
-                self._restart_worker()
+            worker.abandoned = True
+            self._count("workers_abandoned")
+            with job.lock:
+                if job.owner is worker:
+                    job.owner = None
+            # Its past-due deadline must not keep waking the supervisor
+            # while the abandoned thread still runs.
+            worker.current_job = None
+            self._finish_deadline(
+                job,
+                None,
+                outcome_error=ServiceError(
+                    "worker %s still ran job %r %gs past its deadline; abandoned"
+                    % (worker.name, job.spec.job_id, HANG_GRACE)
+                ),
+            )
+            self._restart_worker()
 
     def _restart_worker(self):
         with self._stats_lock:
@@ -1018,28 +969,3 @@ class QueryService:
                     self._queue.append(job)
         for job in expired:
             self._finish_deadline(job, None, outcome_error=None)
-
-    def _hung(self, worker):
-        job = worker.current_job
-        if job is None or worker.started_at is None:
-            return False
-        if job.deadline_at is None:
-            return False
-        return self._clock() > job.deadline_at + HANG_GRACE
-
-    def _recover_orphan(self, worker):
-        """Requeue the job a dead/hung worker was holding, if any."""
-        job = worker.current_job
-        if job is None:
-            return
-        with job.lock:
-            if job.handle.done():
-                return
-            if job.owner is worker:
-                job.owner = None
-        worker.current_job = None
-        death = WorkerDiedError(
-            "worker %s declared dead by the supervisor while holding job %r"
-            % (worker.name, job.spec.job_id)
-        )
-        self._handle_worker_death(job, worker, death)

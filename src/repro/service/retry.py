@@ -3,12 +3,11 @@
 Two decisions live here, both pure functions so tests can pin them
 exactly:
 
-* *whether* a failed attempt is retried — only transient classes
-  (:class:`~repro.runtime.faults.TransientFaultError`,
-  :class:`~repro.util.errors.WorkerDiedError`) are, everything else
-  fails fast; an error wrapped by the engine in
-  :class:`~repro.util.errors.EvaluationAbortedError` is classified by
-  its ``__cause__``;
+* *whether* a failed attempt is retried — only the transient class
+  (:class:`~repro.runtime.faults.TransientFaultError`) is, everything
+  else fails fast or takes the degradation ladder; an error wrapped by
+  the engine in :class:`~repro.util.errors.EvaluationAbortedError` is
+  classified by its ``__cause__``;
 * *when* — exponential backoff with jitter derived from a SHA-256 of
   ``(seed, job_id, attempt)``, so the schedule is fully reproducible
   for a given seed yet decorrelated across jobs (no thundering herd
@@ -21,10 +20,10 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.runtime.faults import TransientFaultError
-from repro.util.errors import EvaluationAbortedError, WorkerDiedError
+from repro.util.errors import EvaluationAbortedError
 
 #: Error classes retried with backoff; everything else fails fast.
-TRANSIENT_ERRORS = (TransientFaultError, WorkerDiedError)
+TRANSIENT_ERRORS = (TransientFaultError,)
 
 
 def is_transient(error):

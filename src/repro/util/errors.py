@@ -192,12 +192,3 @@ class CircuitOpenError(ServiceError):
     def __init__(self, message, program_key=None):
         super().__init__(message)
         self.program_key = program_key
-
-
-class WorkerDiedError(ServiceError):
-    """A service worker died (or was declared dead by the supervisor)
-    while holding a job.
-
-    The supervisor treats this as transient: the job is requeued with
-    the dead worker excluded and a replacement worker is started.
-    """

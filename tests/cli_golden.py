@@ -2,7 +2,8 @@
 
 Runs ``run``, ``query``, ``asof``, ``txn apply``, ``datalog1s`` and
 ``templog`` (plus the CI smoke commands) in human and ``--json`` mode
-over the ok, gave-up, budget-exceeded and fault-abort outcomes, and
+over the ok, gave-up, budget-exceeded and fault-abort outcomes, a
+two-job ``batch`` healthy and under a fault plan (human mode only), and
 ``explain --profile --json`` on a program that closes and one that gives
 up, each in a fresh process, and records stdout, stderr and the exit
 code of every case with elapsed times and the scratch directory masked
@@ -79,6 +80,16 @@ MORE = [
 #: engine aborts with its partial model.
 ABORT = {"specs": [{"site": "clause", "at": 3, "error": "injected"}]}
 
+#: A service batch: one ``run`` job and one FO ``query`` job.
+JOBS = [
+    {"id": "r", "kind": "run", "program_file": "program.dtl", "edb_file": "edb.gdb"},
+    {"id": "q", "kind": "query", "edb_file": "edb.gdb",
+     "query": "exists t2 (course(t1, t2; C))"},
+]
+
+#: A transient fault at the start of the batch's first attempt.
+START = {"specs": [{"site": "worker_start", "at": 1, "error": "transient"}]}
+
 FILES = {
     "edb.gdb": EDB,
     "program.dtl": PROGRAM,
@@ -88,10 +99,14 @@ FILES = {
     "ops.json": json.dumps(OPS),
     "multi.json": json.dumps({"txns": [OPS, MORE]}),
     "abort.json": json.dumps(ABORT),
+    "jobs.json": json.dumps(JOBS),
+    "start.json": json.dumps(START),
     "corrupt.ck.json": "{not json",
 }
 
 RUN = ["run", "program.dtl", "--edb", "edb.gdb"]
+#: Human mode only: ``batch --json`` carries timing histograms.
+BATCH = ["batch", "jobs.json", "--workers", "1", "--batch-timeout", "5"]
 DIVERGE = ["run", "diverge.dtl", "--edb", "edb.gdb", "--patience", "3"]
 PROBLEMS = "problems(t1, t2; X)"
 QUERY_PROGRAM = ["query", "edb.gdb", PROBLEMS, "--program", "program.dtl"]
@@ -187,6 +202,9 @@ def cases():
     matrix += _both("asof goal budget", ASOF + ["--goal-directed", "--predicate", "problems", "--max-rounds", "1"])
     matrix.append(("asof goal no predicate", ASOF + ["--goal-directed"], None))
     matrix.append(("asof tx beyond head", ["asof", "store", "--tx", "9"], None))
+    # batch
+    matrix.append(("batch", BATCH, None))
+    matrix.append(("batch worker_start transient", BATCH + ["--fault-plan", "start.json"], None))
     # the CI smoke commands
     matrix.append(("ci run json", RUN + ["--json", "--window", "0", "60"], None))
     matrix.append(("ci run deadline", RUN + ["--deadline", "0"], None))

@@ -287,6 +287,15 @@ class TestNormalizeCoalesce:
         merged = rel_of(a, b).coalesce()
         assert len(merged) == 2
 
+    def test_coalesce_zone_merge_accepts_a_lattice_empty_gap(self):
+        # The hull adds 5 only, which is not even: one tuple covers both.
+        a = interval_tuple(0, 5, period=2)
+        b = interval_tuple(6, 11, period=2)
+        merged = rel_of(a, b).coalesce()
+        assert len(merged) == 1
+        assert str(merged.tuples[0]) == "(2n) where 0 <= T1 & T1 <= 10"
+        assert merged.extension(-2, 14) == {(t,) for t in range(0, 11, 2)}
+
     def test_coalesce_lrp_merge(self):
         evens = GeneralizedTuple((Lrp(4, 0),))
         twos = GeneralizedTuple((Lrp(4, 2),))

@@ -2,6 +2,8 @@
 retry with checkpoint resume, both rungs of the degradation ladder,
 and the circuit breaker — all driven by deterministic fault plans."""
 
+import time
+
 import pytest
 
 from repro.core import DeductiveEngine, parse_program
@@ -9,11 +11,7 @@ from repro.gdb import parse_database
 from repro.runtime.faults import FaultPlan, TransientFaultError
 from repro.service import JobSpec, QueryService, RetryPolicy
 from repro.service.breaker import CircuitBreaker
-from repro.util.errors import (
-    CircuitOpenError,
-    OverloadedError,
-    WorkerDiedError,
-)
+from repro.util.errors import CircuitOpenError, OverloadedError
 
 EDB = """
 relation course[2; 1] {
@@ -251,28 +249,61 @@ class TestRetryAndResume:
 
 
 class TestSupervision:
-    def test_worker_death_requeues_and_restarts(self, baseline_model):
-        plan = FaultPlan.inject("worker_start", at=1, error=WorkerDiedError)
+    def test_transient_worker_start_fault_retries_in_place(self, baseline_model):
+        plan = FaultPlan.inject("worker_start", at=1, error=TransientFaultError)
         with plan.installed():
             with service() as svc:
-                result = svc.run_batch([run_spec()])[0]
+                result = svc.run_batch([run_spec()], timeout=30.0)[0]
                 stats = svc.stats()
         assert result.state == "ok"
         assert result.attempts == 2
-        assert result.worker != "worker-1"  # excluded dead worker
-        assert stats["workers"]["restarts"] >= 1
-        assert stats["jobs"]["requeues"] >= 1
+        assert stats["workers"]["restarts"] == 0
         assert result.model.equivalent(baseline_model)
 
-    def test_repeated_deaths_exhaust_attempts(self):
-        plan = FaultPlan.inject(
-            "worker_start", at=1, error=WorkerDiedError, repeat=True
-        )
+    def test_repeated_worker_start_fault_degrades_then_fails(self):
+        # A permanent fault at every attempt's start: rung one moves the
+        # job to the reference backend, whose attempt faults too.
+        plan = FaultPlan.inject("worker_start", at=1, repeat=True)
         with plan.installed():
-            with service(default_deadline=5.0) as svc:
+            with service() as svc:
                 result = svc.run_batch([run_spec()], timeout=30.0)[0]
-        assert result.state in ("failed", "partial")
-        assert result.terminal()
+                stats = svc.stats()
+        assert (result.state, result.outcome) == ("failed", "error")
+        assert result.degradation == ["reference-backend"]
+        assert result.attempts == 2
+        assert stats["workers"]["alive"] == 1
+
+    def test_hung_worker_is_abandoned_and_its_job_resolves_partial(
+        self, monkeypatch
+    ):
+        checks = []
+        original = QueryService._check_workers
+
+        def counted(svc):
+            checks.append(time.monotonic())
+            return original(svc)
+
+        monkeypatch.setattr(QueryService, "_check_workers", counted)
+        # The round-boundary sleep outlives the deadline plus HANG_GRACE:
+        # the supervisor abandons the worker, resolves the job and
+        # starts one replacement.
+        plan = FaultPlan.delay("round", seconds=3.0)
+        with plan.installed():
+            with service(default_deadline=0.2) as svc:
+                started = time.monotonic()
+                result = svc.run_batch([run_spec()], timeout=30.0)[0]
+                elapsed = time.monotonic() - started
+                stats = svc.stats()
+                # The abandoned thread still sleeps; its past-due job
+                # must not keep the supervisor awake.
+                resolved = len(checks)
+                time.sleep(0.3)
+                assert len(checks) - resolved <= 1
+        assert (result.state, result.outcome) == ("partial", "budget-exceeded")
+        assert result.attempts == 1
+        assert elapsed < 2.5
+        assert stats["workers"]["abandoned"] == 1
+        assert stats["workers"]["restarts"] == 1
 
 
 class TestDegradationLadder:
@@ -400,8 +431,6 @@ class TestCircuitBreaker:
 
 class TestIdleService:
     def test_idle_supervisor_does_not_poll(self, monkeypatch):
-        import time
-
         checks = []
         original = QueryService._check_workers
 

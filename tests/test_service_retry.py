@@ -6,11 +6,7 @@ import pytest
 
 from repro.runtime.faults import InjectedFaultError, TransientFaultError
 from repro.service.retry import RetryPolicy, is_transient
-from repro.util.errors import (
-    EvaluationAbortedError,
-    ParseError,
-    WorkerDiedError,
-)
+from repro.util.errors import EvaluationAbortedError, ParseError
 
 
 class TestSchedule:
@@ -61,7 +57,7 @@ class TestClassification:
     def test_transient_classes_are_retryable(self):
         policy = RetryPolicy(max_attempts=3)
         assert policy.retryable(TransientFaultError("clause", 1), 1)
-        assert policy.retryable(WorkerDiedError("gone"), 2)
+        assert policy.retryable(TransientFaultError("worker_start", 1), 2)
 
     def test_permanent_classes_fail_fast(self):
         policy = RetryPolicy(max_attempts=3)
