@@ -10,7 +10,8 @@ introspection and service commands:
 ``explain``
     Print the compiled clause plans (join order, pushed-down
     selections and constraints, carriers, fused projection) the
-    engine would execute, together with the plan fingerprint stamped
+    engine would execute, one line per predicate whose shift
+    recursion closes at acceptance, and the plan fingerprint stamped
     into checkpoints.
 
 ``query``
@@ -418,15 +419,15 @@ def _print_profile(collector, model, out):
 
 def _cmd_explain(args, out):
     from repro.core.evaluation import ProgramEvaluator
-    from repro.plan.explain import format_program_plans, plan_fingerprint
+    from repro.plan.explain import format_program_plans
 
     program, edb = _read(args.program), _read(args.edb)
     spec = JobSpec("explain", "run", program=program, edb=edb, strategy=args.strategy)
     evaluator = ProgramEvaluator(
         memo.parsed("program", program, parse_program), memo.parsed("edb", edb, parse_database)
     )
-    rendering = format_program_plans(evaluator.plans)
-    fingerprint = plan_fingerprint(evaluator.plans)
+    rendering = format_program_plans(evaluator.plans, evaluator.shifts)
+    fingerprint = evaluator.plan_fingerprint()
     profile = None
     if args.profile:
         # One run through the front door; one that gives up is

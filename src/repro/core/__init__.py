@@ -21,6 +21,8 @@ Modules
   naive and semi-naive.
 * :mod:`repro.core.safety` — free-extension safety (Theorem 4.2) and
   constraint safety (Theorem 4.3), the paper's termination criteria.
+* :mod:`repro.core.shift` — one-column shift recursion closed at
+  acceptance: the Theorem 4.2 arithmetic instead of one round per step.
 * :mod:`repro.core.engine` — the user-facing
   :class:`~repro.core.engine.DeductiveEngine` with the give-up policy
   the paper recommends when constraint safety is never reached.

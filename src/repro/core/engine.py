@@ -557,8 +557,13 @@ class DeductiveEngine:
         )
 
         if check_free_extension_safety:
-            stats.free_extension_safe_checked = is_free_extension_safe(
-                self.evaluator, env
+            # Theorem 4.2 describes the one-step T_GP chain; a model
+            # whose shift chains were closed at acceptance has skipped
+            # it, so the test does not apply (None).
+            stats.free_extension_safe_checked = (
+                None
+                if self.evaluator.shifts
+                else is_free_extension_safe(self.evaluator, env)
             )
 
         self._emit_run_end(stats, "gave-up" if stats.gave_up else "ok")
@@ -614,7 +619,7 @@ class DeductiveEngine:
         body position); ``started`` is the run's
         :func:`time.perf_counter` origin, so checkpoints carry live
         elapsed time."""
-        checker = CoverageChecker(self.safety)
+        checker = CoverageChecker(self.safety, self.evaluator.shifts)
         strata = self.evaluator.stratum_evaluators
         stats.strata = len(strata)
         stratum_index = 0 if resume is None else resume.stratum_index

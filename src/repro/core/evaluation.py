@@ -11,6 +11,12 @@ product-then-select-then-project formulation survives as
 (``evaluation="reference"``), serving as the correctness oracle and
 the benchmarks' baseline.
 
+Compiled mode also finds, once per program, every predicate whose only
+recursive clause is a pure one-column shift
+(:func:`repro.core.shift.shift_recursions`); the acceptance sweep
+closes such a predicate's tuples under the shift instead of walking the
+chain one round per step.  The reference backend stays one-step.
+
 Plans are compiled once per content key per process, not once per
 :class:`ProgramEvaluator`: the compiled program — plans or reference
 evaluators, strata, and the stratum layout as clause indexes — is kept
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from repro.core.shift import shift_recursions
 from repro.core.transform import normalize_program
 from repro.gdb.relation import GeneralizedRelation
 from repro.plan import memo
@@ -46,15 +53,17 @@ class CompiledProgram(NamedTuple):
     """What :data:`repro.plan.memo.PROGRAMS` keeps per program: the
     plans, the clause evaluators (the plans themselves in compiled
     mode), the strata, each stratum's evaluators as indexes into
-    ``evaluators``, and the program's data constants.  Indexes, not
-    clause identities: two parses of one text have different clause
-    objects but the same clause order."""
+    ``evaluators``, the program's data constants, and its accelerated
+    predicates ``{predicate: ShiftRecursion}`` (compiled mode only).
+    Indexes, not clause identities: two parses of one text have
+    different clause objects but the same clause order."""
 
     plans: tuple
     evaluators: tuple
     strata: tuple
     layout: tuple
     constants: frozenset
+    shifts: dict
 
 
 def _compile(program, schemas, intensional, evaluation):
@@ -67,8 +76,10 @@ def _compile(program, schemas, intensional, evaluation):
             ReferenceClauseEvaluator(clause, schemas)
             for clause in normalized
         )
+        shifts = {}
     else:
         evaluators = plans
+        shifts = shift_recursions(program, normalized)
     strata, clause_strata = program.strata()
     index_of = {
         id(evaluator.normalized.original): index
@@ -87,7 +98,7 @@ def _compile(program, schemas, intensional, evaluation):
                 if not term.is_variable():
                     constants.add(term.value)
     return CompiledProgram(
-        plans, evaluators, tuple(strata), layout, frozenset(constants)
+        plans, evaluators, tuple(strata), layout, frozenset(constants), shifts
     )
 
 
@@ -118,7 +129,8 @@ class ProgramEvaluator:
     evaluator: ``"compiled"`` (the plan layer, default) or
     ``"reference"`` (the paper-literal oracle).  Plans are compiled in
     either mode — the plan fingerprint stamps checkpoints and feeds
-    ``repro explain`` regardless of which evaluator runs.
+    ``repro explain`` regardless of which evaluator runs; it also names
+    the accelerated predicates, which only compiled mode has.
     """
 
     def __init__(self, program, edb, evaluation="compiled"):
@@ -142,12 +154,13 @@ class ProgramEvaluator:
             for layer in compiled.layout
         ]
         self._program_constants = compiled.constants
+        self.shifts = compiled.shifts
         self._domain_cache = None  # (env snapshot, sorted domain)
 
     def plan_fingerprint(self):
-        """The digest of every compiled plan (see
-        :func:`repro.plan.explain.plan_fingerprint`)."""
-        return plan_fingerprint(self.plans)
+        """The digest of every compiled plan and accelerated predicate
+        (see :func:`repro.plan.explain.plan_fingerprint`)."""
+        return plan_fingerprint(self.plans, self.shifts)
 
     def stratum_count(self):
         """Number of evaluation strata (1 for negation-free programs)."""

@@ -102,11 +102,17 @@ class CoverageChecker:
     memoizes, so every test is a miss); the engine emits them per
     round as ``coverage.cache`` events on the observability bus.  The
     ``coverage`` fault-injection site fires once per test, hit or miss.
+
+    ``shifts`` maps each accelerated predicate to its
+    :class:`~repro.core.shift.ShiftRecursion`: :meth:`sweep` replaces
+    an uncovered tuple of such a predicate by its closure under the
+    shift.
     """
 
-    def __init__(self, mode="paper"):
+    def __init__(self, mode="paper", shifts=None):
         coverage_test(mode)  # validate the mode name eagerly
         self.mode = mode
+        self.shifts = shifts or {}
         self.hits = 0
         self.misses = 0
 
@@ -136,12 +142,15 @@ class CoverageChecker:
         within the round (by interned ``row_key``), test coverage once
         per distinct tuple against the predicate's current relation,
         and return the fresh (uncovered) tuples per predicate in
-        derivation order."""
+        derivation order.  An uncovered tuple of an accelerated
+        predicate is replaced by its shift closure, whose tuples are
+        deduped and tested the same way."""
         fresh = {}
         seen_keys = set()
         for predicate, tuples in derived.items():
             relation = env[predicate]
             snapshot = relation.tuples  # one snapshot per sweep
+            recursion = self.shifts.get(predicate)
             for gt in tuples:
                 key = (predicate, gt.row_key())
                 if key in seen_keys:
@@ -149,7 +158,19 @@ class CoverageChecker:
                 seen_keys.add(key)
                 if self.covered(gt, relation, snapshot):
                     continue
-                fresh.setdefault(predicate, []).append(gt)
+                closure = None if recursion is None else recursion.close(gt, env)
+                if closure is None:
+                    fresh.setdefault(predicate, []).append(gt)
+                    continue
+                for member in closure:
+                    member_key = (predicate, member.row_key())
+                    if member_key != key:
+                        if member_key in seen_keys:
+                            continue
+                        seen_keys.add(member_key)
+                        if self.covered(member, relation, snapshot):
+                            continue
+                    fresh.setdefault(predicate, []).append(member)
         return fresh
 
 

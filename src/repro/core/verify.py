@@ -4,8 +4,13 @@ A closed form produced by the engine can be *checked* without trusting
 the engine, using the two halves of the fixpoint characterization:
 
 * **Stability** (the Theorem 4.3 direction): applying one more T_GP
-  round to the model must derive only covered tuples — the model is a
-  pre-fixpoint.
+  round to the model must derive only tuples whose extension the model
+  already contains — the model is a pre-fixpoint.  This is extension
+  containment (:func:`~repro.core.safety.covered_semantic`), not the
+  paper's same-free-extension test: a model whose shift chains were
+  closed at acceptance (:mod:`repro.core.shift`) holds ``(5n) where
+  T1 >= 0`` where one more round re-derives ``(n) where T1 = 0``, a
+  tuple it contains under another free extension.
 * **Support** (minimality direction, checked on a window): every
   ground atom of the model inside a window must also be derived by the
   ground tuple-at-a-time oracle on a sufficiently larger window, and
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.core.evaluation import ProgramEvaluator
 from repro.core.grounding import GroundEvaluator
-from repro.core.safety import coverage_test
+from repro.core.safety import covered_semantic
 from repro.util.errors import EvaluationError
 
 
@@ -63,7 +68,7 @@ class VerificationReport:
         return "model verification FAILED: " + "; ".join(problems)
 
 
-def verify_model(program, edb, model, window=(0, 200), margin=None, safety="paper"):
+def verify_model(program, edb, model, window=(0, 200), margin=None):
     """Check a model independently of how it was computed.
 
     ``window`` is the interior on which ground agreement is required;
@@ -75,7 +80,6 @@ def verify_model(program, edb, model, window=(0, 200), margin=None, safety="pape
     if margin is None:
         margin = high - low
     report = VerificationReport()
-    covered = coverage_test(safety)
 
     # -- stability: one more T_GP round derives nothing new ------------
     evaluator = ProgramEvaluator(program, edb)
@@ -89,7 +93,7 @@ def verify_model(program, edb, model, window=(0, 200), margin=None, safety="pape
         )
         for predicate, tuples in derived.items():
             for gt in tuples:
-                if not covered(gt, env[predicate]):
+                if not covered_semantic(gt, env[predicate]):
                     report.stable = False
                     report.uncovered_tuples.append((predicate, gt))
 

@@ -297,7 +297,9 @@ class MaterializedModel:
             hits = _meeting(derived, overdeleted[predicate])
             if hits:
                 candidates[predicate] = [heads[index] for index in sorted(hits)]
-        accepted = CoverageChecker(engine.safety).sweep(candidates, env)
+        accepted = CoverageChecker(engine.safety, evaluator.shifts).sweep(
+            candidates, env
+        )
         for predicate, tuples in accepted.items():
             relations[predicate] = relations[predicate].with_tuples(tuples)
         report.rederived = sum(len(tuples) for tuples in accepted.values())

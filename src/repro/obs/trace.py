@@ -134,11 +134,14 @@ class ProfileCollector:
                 bucket["derived_tuples"] += fields.get("out", 0)
 
     def table(self):
-        """Per-operator rows sorted by accumulated wall time, hottest
-        first — JSON-safe, ready for reports."""
+        """Per-operator rows ordered by clause, variant and step — the
+        same order on every run of one program — JSON-safe, ready for
+        reports."""
         with self._lock:
             rows = [dict(entry) for entry in self.operators.values()]
-        rows.sort(key=lambda row: -row["seconds"])
+        rows.sort(
+            key=lambda row: (row["clause"] or "", row["variant"] or "", row["step"] or 0)
+        )
         for row in rows:
             row["seconds"] = round(row["seconds"], 6)
         return rows

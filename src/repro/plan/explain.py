@@ -1,10 +1,12 @@
 """Rendering compiled plans and fingerprinting them.
 
 The ``repro explain`` CLI subcommand prints, per clause, every
-compiled variant as a numbered pipeline; :func:`plan_fingerprint`
-hashes the same rendering, so the fingerprint changes exactly when a
-plan-visible compilation decision changes — checkpoints store it and
-refuse to resume under a different plan (bit-identical replay).
+compiled variant as a numbered pipeline, then one line per predicate
+whose shift recursion closes at acceptance (:mod:`repro.core.shift`);
+:func:`plan_fingerprint` hashes the same rendering, so the fingerprint
+changes exactly when a plan-visible compilation decision changes —
+checkpoints store it and refuse to resume under a different plan
+(bit-identical replay).
 """
 
 from __future__ import annotations
@@ -96,16 +98,23 @@ def format_plan(plan):
     return "\n".join(lines)
 
 
-def format_program_plans(plans):
-    """Render the plans of a whole program (one block per clause)."""
-    return "\n\n".join(format_plan(plan) for plan in plans)
+def format_program_plans(plans, shifts=None):
+    """Render the plans of a whole program (one block per clause), and
+    a last block with one line per accelerated predicate of ``shifts``
+    (``{predicate: ShiftRecursion}``) when there are any."""
+    blocks = [format_plan(plan) for plan in plans]
+    if shifts:
+        blocks.append(
+            "\n".join(shifts[name].describe(name) for name in sorted(shifts))
+        )
+    return "\n\n".join(blocks)
 
 
-def plan_fingerprint(plans):
-    """A stable digest of the compiled plans: sha256 over the full
-    textual rendering.  Recorded in checkpoints so a resume under
-    different plans (different join order, pushdown, …) is rejected
-    instead of silently diverging."""
+def plan_fingerprint(plans, shifts=None):
+    """A stable digest of the compiled plans and accelerated predicates:
+    sha256 over the full textual rendering.  Recorded in checkpoints so
+    a resume under different plans (different join order, pushdown,
+    shift closure, …) is rejected instead of silently diverging."""
     digest = hashlib.sha256()
-    digest.update(format_program_plans(plans).encode("utf-8"))
+    digest.update(format_program_plans(plans, shifts).encode("utf-8"))
     return digest.hexdigest()

@@ -156,7 +156,9 @@ def test_untouched_row_is_split_on_the_negated_relations_period():
     # Kept whole, its shifts (n) where T1 = 2, 3, ... were each new to
     # p1 and the compiled run gave up where the reference closed; split
     # on a's period 2, as the reference's complement join splits it,
-    # it is (2n+1) where T1 = 1 and the run closes in the same rounds.
+    # it is (2n+1) where T1 = 1 and the run closes.  The anti-join's
+    # round output is compared, since the compiled run then closes p1's
+    # shift chain at acceptance.
     edb = "relation a[1; 0] { (2n) where T1 >= 0; (n) where T1 = 0; }"
     text = (
         "p0(t) <- a(t).\np0(t + 1) <- p0(t), a(t).\n"
@@ -171,8 +173,21 @@ def test_untouched_row_is_split_on_the_negated_relations_period():
         compiled = DeductiveEngine(
             program, database, strategy=strategy, max_rounds=40, patience=5
         ).run()
-        assert str(compiled.relation("p1")) == str(reference.relation("p1"))
+        assert compiled.relation("p1").equivalent(reference.relation("p1"))
     assert compiled.extension("p1", *WINDOW) == {(t,) for t in range(1, WINDOW[1])}
+    outputs = []
+    for evaluation in ("compiled", "reference"):
+        evaluator = ProgramEvaluator(program, database, evaluation=evaluation)
+        env = evaluator.initial_environment()
+        env["p0"] = reference.relation("p0")
+        negation = [e for e in evaluator.evaluators if e.normalized.negated_atoms]
+        derived = evaluator.naive_round(
+            env, evaluators=negation,
+            complements=evaluator.complements_for(negation, env),
+        )
+        outputs.append([str(gt) for gt in derived["p1"]])
+    assert "(2n+1) where T1 = 1" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 # -- (c) a negated variable only an equality pins ----------------------------------

@@ -24,6 +24,14 @@ relation course[2; 1] {
 }
 """
 
+# E7's unary arithmetic: t2 = 2 * t1 is not periodic, so no evaluator
+# closes it and every run takes the give-up path.
+DOUBLE_EDB = "relation zero[2; 0] { (n, n) where T1 = 0 & T2 = 0; }"
+DOUBLE_PROGRAM = """
+double(t1, t2) <- zero(t1, t2).
+double(t1 + 1, t2 + 2) <- double(t1, t2).
+"""
+
 PROBLEMS_PROGRAM = """
 problems(t1 + 2, t2 + 2; "database") <- course(t1, t2; "database").
 problems(t1 + 48, t2 + 48; X) <- problems(t1, t2; X).
@@ -287,12 +295,13 @@ class TestSmallPrograms:
 class TestRecursion:
     def test_transitive_shift(self):
         # p(0); p(t+5) <- p(t): an lrp 5n (t >= 0) in the limit; the
-        # generalized engine cannot close this from a single point
+        # paper's one-step T_GP cannot close this from a single point
         # (periods stay 1) and must give up — exactly the situation
-        # the paper describes for point-like EDBs.
+        # the paper describes for point-like EDBs.  The reference
+        # backend is that procedure.
         edb = parse_database("relation seed[1; 0] { (n) where T1 = 0; }")
         program = parse_program("p(t) <- seed(t). p(t + 5) <- p(t).")
-        engine = DeductiveEngine(program, edb, patience=5)
+        engine = DeductiveEngine(program, edb, patience=5, evaluation="reference")
         with pytest.raises(GiveUpError) as excinfo:
             engine.run()
         model = excinfo.value.partial_model
@@ -300,6 +309,26 @@ class TestRecursion:
         # The partial model is still sound: its points are derivable.
         assert model.relation("p").contains_point((0,))
         assert model.relation("p").contains_point((5,))
+
+    @pytest.mark.parametrize("strategy", ["naive", "semi-naive"])
+    def test_point_seed_closes_at_acceptance(self, strategy):
+        # The compiled engine closes the same chain at acceptance: the
+        # point's closure under +5 is (5n) where T1 >= 0.
+        edb = parse_database("relation seed[1; 0] { (n) where T1 = 0; }")
+        program = parse_program("p(t) <- seed(t). p(t + 5) <- p(t).")
+        model = DeductiveEngine(program, edb, strategy=strategy).run(
+            check_free_extension_safety=True
+        )
+        assert model.stats.constraint_safe
+        assert model.stats.rounds == 2
+        # Theorem 4.2's test describes the one-step chain this run skipped.
+        assert model.stats.free_extension_safe_checked is None
+        assert [str(gt) for gt in model.relation("p").tuples] == [
+            "(5n) where 0 <= T1"
+        ]
+        ground = GroundEvaluator(program, edb, -40, 120)
+        ground.run()
+        assert model.extension("p", -40, 120) == ground.extension("p")
 
     def test_periodic_recursion_closes(self):
         # Same rule over a periodic seed closes quickly (Example 4.1
@@ -360,19 +389,19 @@ class TestRecursion:
 
 class TestGiveUpPolicy:
     def test_giveup_raises_with_partial_model(self):
-        edb = parse_database("relation seed[1; 0] { (n) where T1 = 0; }")
-        program = parse_program("p(t) <- seed(t). p(t + 5) <- p(t).")
+        edb = parse_database(DOUBLE_EDB)
+        program = parse_program(DOUBLE_PROGRAM)
         engine = DeductiveEngine(program, edb, patience=4)
         with pytest.raises(GiveUpError) as excinfo:
             engine.run()
         error = excinfo.value
         assert error.partial_model is not None
         assert error.stats.gave_up
-        assert error.partial_model.relation("p").contains_point((0,))
+        assert error.partial_model.relation("double").contains_point((0, 0))
 
     def test_max_rounds_cap(self):
-        edb = parse_database("relation seed[1; 0] { (n) where T1 = 0; }")
-        program = parse_program("p(t) <- seed(t). p(t + 5) <- p(t).")
+        edb = parse_database(DOUBLE_EDB)
+        program = parse_program(DOUBLE_PROGRAM)
         engine = DeductiveEngine(program, edb, patience=None, max_rounds=7)
         with pytest.raises(GiveUpError) as excinfo:
             engine.run()

@@ -28,11 +28,12 @@ second.  The modes:
 * **give-up** — where the reference gives up (§4.4), a mode either
   raises :class:`GiveUpError` or returns a model that agrees with
   ground.  This rule holds in every mode above; the give-up test draws
-  cases prone to it.  The compiled fixpoints run the reference's
-  rounds and must give up exactly where it does; goal-directed and
-  maintained runs have rounds of their own (demand predicates, warm
-  starts), so their patience may run out where the reference's did
-  not, and that typed give-up is accepted.
+  cases prone to it.  The compiled fixpoints must not give up where
+  the reference closes, and they close where it gives up when a
+  one-column shift chain closes at acceptance (:mod:`repro.core.shift`);
+  goal-directed and maintained runs have rounds of their own (demand
+  predicates, warm starts), so their patience may run out where the
+  reference's did not, and that typed give-up is accepted.
 
 Any other error escapes the mode and fails the case.
 """
@@ -113,8 +114,50 @@ def test_round_compiled_matches_reference(case):
             env[name] = env[name].with_tuples(tuples)
 
 
+#: E14's multi-chain shape under a goal that binds a data column: two
+#: period-48 chains under shift 2 and their meet, guarded by demand
+#: predicates whose key is the bound column.
+MULTI_CHAIN_GOAL_CASE = Case(
+    relations=(
+        ("a", 1, 1, ('(48n+5; "x") where T1 >= 0', '(48n+8; "y") where T1 >= 0')),
+        ("b", 1, 1, ('(48n+7; "x") where T1 >= 0',)),
+    ),
+    program_text=(
+        "p0(t; X) <- a(t; X).\np0(t + 2; X) <- p0(t; X).\n"
+        "p1(t; X) <- b(t; X).\np1(t + 2; X) <- p1(t; X).\n"
+        "m(t; X) <- p0(t; X), p1(t; X)."
+    ),
+    goal=("m", 10, 30, ((0, "x"),)),
+    batches=(),
+    strategy="semi-naive",
+    resume_at=0,
+    rederive_budget=0,
+    window=(-24, 96),
+    interior=(0, 60),
+)
+
+#: The monadic example the one-step chain gives up on: p0 over the
+#: points 0 and 1 under shift 3, and p1 = {t : t, t + 5 in p0}, which
+#: is (3n+1) where T1 >= 1 (Datalog1S's minimal model says the same).
+MONADIC_CASE = Case(
+    relations=(
+        ("a", 1, 0, ("(n) where T1 = 0", "(n) where T1 = 1")),
+        ("b", 1, 0, ("(2n) where T1 >= 0",)),
+    ),
+    program_text="p0(t) <- a(t).\np0(t + 3) <- p0(t).\np1(t) <- p0(t), p0(t + 5).",
+    goal=("p1", 0, 20, ()),
+    batches=(),
+    strategy="naive",
+    resume_at=0,
+    rederive_budget=0,
+    window=(-24, 96),
+    interior=(0, 60),
+)
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=cases())
+@example(case=MULTI_CHAIN_GOAL_CASE)
 def test_goal_directed_matches_within_window(case):
     program, edb = case.program(), case.edb()
     oracle = Oracle(case, program, edb)
@@ -211,6 +254,7 @@ def test_maintained_model_matches_scratch_after_every_batch(case, tmp_path_facto
 
 @settings(max_examples=15, deadline=None)
 @given(case=cases(give_up=True))
+@example(case=MONADIC_CASE)
 def test_give_up_is_typed_or_agrees_with_ground(case):
     oracle = Oracle(case, case.program(), case.edb())
     for strategy in ("naive", "semi-naive"):

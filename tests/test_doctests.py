@@ -13,6 +13,7 @@ import repro.constraints.atoms
 import repro.constraints.dbm
 import repro.constraints.system
 import repro.core.engine
+import repro.core.shift
 import repro.fo
 import repro.fo.evaluator
 import repro.gdb.database
@@ -35,6 +36,7 @@ MODULES = [
     repro.gdb.relation,
     repro.gdb.database,
     repro.core.engine,
+    repro.core.shift,
     repro.fo,
     repro.fo.evaluator,
     repro.omega.monoid,

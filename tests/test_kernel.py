@@ -331,7 +331,17 @@ class TestConcurrentEngines:
         assert not errors, errors
 
     def test_threads_match_sequential_models(self, fresh_caches, monkeypatch):
-        texts = [_MEET_PROGRAM, _MEET_PROGRAM.replace("t >= 30", "t <= 40")]
+        # The meet program with its shift chain over two temporal
+        # columns: a one-column chain closes at acceptance and leaves
+        # too few joins to fill the cache.
+        program = _MEET_PROGRAM.replace(
+            "p(t; X) <- seed(t; X).\np(t + 2; X) <- p(t; X).\n"
+            "meet(t; X, Y) <- p(t; X), p(t; Y).",
+            "p(t, u; X) <- seed(t; X), u = t.\np(t + 2, u + 2; X) <- p(t, u; X).\n"
+            "meet(t; X, Y) <- p(t, u; X), p(t, v; Y).",
+        )
+        assert program != _MEET_PROGRAM
+        texts = [program, program.replace("t >= 30", "t <= 40")]
         expected = [str(_run_meet(text)[0]) for text in texts]
         monkeypatch.setattr(kernel, "CACHE_CAP", 32)
         _empty_caches(monkeypatch)

@@ -250,6 +250,8 @@ class TestEngineTrace:
             assert row["output_tuples"] >= 0
             assert row["seconds"] >= 0.0
         assert any(row["variant"].startswith("delta@") for row in rows)
+        keys = [(row["clause"], row["variant"], row["step"]) for row in rows]
+        assert keys == sorted(keys)
 
     def test_budget_and_checkpoint_events(self, tmp_path):
         recorder = TraceRecorder()

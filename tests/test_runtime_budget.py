@@ -19,7 +19,7 @@ EDB = """
 relation course[2; 1] {
   (168n+8, 168n+10; "database") where T2 = T1 + 2;
 }
-relation seed[1; 0] { (n) where T1 = 0; }
+relation zero[2; 0] { (n, n) where T1 = 0 & T2 = 0; }
 """
 
 # Example 4.1 of the paper: terminates at constraint safety.
@@ -28,10 +28,11 @@ problems(t1 + 2, t2 + 2; X) <- course(t1, t2; X).
 problems(t1 + 48, t2 + 48; X) <- problems(t1, t2; X).
 """
 
-# Diverging program: never becomes constraint safe.
+# Diverging program (E7's unary arithmetic, t2 = 2 * t1): never
+# becomes constraint safe.
 DIVERGING = """
-p(t) <- seed(t).
-p(t + 5) <- p(t).
+double(t1, t2) <- zero(t1, t2).
+double(t1 + 1, t2 + 2) <- double(t1, t2).
 """
 
 D1S = """
@@ -114,7 +115,7 @@ class TestEngineBudgets:
         assert error.limit == "max_rounds"
         assert error.stats.rounds == 4  # tripped entering round 4
         # the partial model holds what the first rounds derived
-        assert error.partial_model.relation("p").contains_point((0,), ())
+        assert error.partial_model.relation("double").contains_point((0, 0), ())
 
     def test_max_tuples(self):
         engine = make_engine(DIVERGING, patience=50)

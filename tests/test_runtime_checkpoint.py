@@ -27,6 +27,7 @@ relation course[2; 1] {
   (168n+8, 168n+10; "database") where T2 = T1 + 2;
 }
 relation seed[1; 0] { (n) where T1 = 0; }
+relation zero[2; 0] { (n, n) where T1 = 0 & T2 = 0; }
 """
 
 PROGRAM = """
@@ -118,8 +119,12 @@ class TestResume:
     ):
         # A diverging program's give-up round depends on when the free
         # signatures last grew; a run resumed mid-way must give up at
-        # the same round with the same stats and partial model.
-        program = "p(t) <- seed(t).\np(t + 5) <- p(t).\n"
+        # the same round with the same stats and partial model.  E7's
+        # unary arithmetic (t2 = 2 * t1) has no lrp closed form.
+        program = (
+            "double(t1, t2) <- zero(t1, t2).\n"
+            "double(t1 + 1, t2 + 2) <- double(t1, t2).\n"
+        )
         copies = keep_every_checkpoint(tmp_path, monkeypatch)
         path = tmp_path / "diverge.ckpt.json"
         with pytest.raises(GiveUpError) as clean:
@@ -165,6 +170,26 @@ class TestResume:
         semi = make_engine().fingerprint()
         naive = make_engine(strategy="naive").fingerprint()
         assert semi != naive
+
+    def test_shift_closure_changes_fingerprint(self, tmp_path):
+        # Compiled mode closes p's shift chain at acceptance, the
+        # reference walks it one round per step: a checkpoint of one
+        # does not resume the other.  Example 4.1's chain is
+        # two-column, so its fingerprint is the same in both modes.
+        program = "p(t) <- seed(t).\np(t + 5) <- p(t).\n"
+        compiled = make_engine(program)
+        reference = make_engine(program, evaluation="reference")
+        assert compiled.fingerprint() != reference.fingerprint()
+        assert make_engine().fingerprint() == make_engine(
+            evaluation="reference"
+        ).fingerprint()
+        path = tmp_path / "walked.ckpt.json"
+        with pytest.raises(GiveUpError):
+            make_engine(program, evaluation="reference", patience=3).run(
+                checkpoint_every=1, checkpoint_path=str(path)
+            )
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            compiled.run(resume_from=str(path))
 
 
 class TestCheckpointFiles:

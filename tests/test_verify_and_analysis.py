@@ -69,6 +69,15 @@ class TestVerifyModel:
         assert report.unsupported_atoms
         assert "FAILED" in str(report)
 
+    def test_closed_shift_chain_verifies(self):
+        # One more round re-derives (n) where T1 = 0 beside the closed
+        # (5n) where T1 >= 0: a new free extension, but no new point.
+        edb = parse_database("relation seed[1; 0] { (n) where T1 = 0; }")
+        program = parse_program("p(t) <- seed(t). p(t + 5) <- p(t).")
+        model = DeductiveEngine(program, edb).run()
+        report = verify_model(program, edb, model, window=(-20, 60))
+        assert report.ok(), str(report)
+
     def test_negation_program_gets_stability_check(self):
         edb = parse_database("relation sched[1; 0] { (10n) where T1 >= 0; }")
         program = parse_program("quiet(t) <- not sched(t), t >= 0, t < 30.")
