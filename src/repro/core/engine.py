@@ -31,11 +31,7 @@ from functools import cached_property
 from typing import List, Optional
 
 from repro.core.evaluation import ProgramEvaluator, checked_schemas
-from repro.core.safety import (
-    CoverageChecker,
-    coverage_test,
-    is_free_extension_safe,
-)
+from repro.core.safety import CoverageChecker, is_free_extension_safe
 from repro.runtime.checkpoint import (
     Checkpoint,
     engine_fingerprint,
@@ -289,6 +285,8 @@ class DeductiveEngine:
     ):
         if strategy not in ("naive", "semi-naive"):
             raise ValueError("strategy must be 'naive' or 'semi-naive'")
+        if safety not in ("paper", "semantic"):
+            raise ValueError("safety must be 'paper' or 'semantic'")
         self.program = program
         self.edb = edb
         self.strategy = strategy
@@ -296,7 +294,6 @@ class DeductiveEngine:
         self.max_rounds = max_rounds
         self.patience = patience
         self.evaluation = evaluation
-        coverage_test(safety)  # validate the mode name eagerly
         checked_schemas(program, edb, evaluation)
         program.strata()  # a recursion through negation fails here too
 
@@ -483,27 +480,16 @@ class DeductiveEngine:
                 },
             )
 
-    def _partial_model(self, env, stats, best_effort=False):
+    def _partial_model(self, env, stats):
         """The (possibly partial) model for the current environment.
-
-        Normalizing checks only the tuples past each relation's normal
-        prefix and returns the relation itself when it drops nothing,
-        so the model shares the environment's relations and stores.
-        With ``best_effort`` a failure during normalization (a fault
-        plan can fire inside it) degrades to the raw relations instead
-        of propagating — used when the model rides on an error that
-        must not be displaced."""
-        try:
-            relations = {
-                name: env[name].normalize() for name in self.evaluator.intensional
-            }
-        except Exception:
-            if not best_effort:
-                raise
-            relations = {
-                name: env[name] for name in self.evaluator.intensional
-            }
-        return Model(relations, stats, edb=self.edb)
+        It shares the environment's relations and stores: the
+        acceptance sweep keeps them normal, so nothing is left to
+        clean up."""
+        return Model(
+            {name: env[name] for name in self.evaluator.intensional},
+            stats,
+            edb=self.edb,
+        )
 
     def _evaluate(self, env, stats, budget, check_free_extension_safety=False, **state):
         """Drain :meth:`_rounds` from ``env`` into a model: the one exit
@@ -548,7 +534,7 @@ class DeductiveEngine:
             self._emit_run_end(stats, "aborted")
             raise EvaluationAbortedError(
                 "evaluation aborted during round %d: %s" % (stats.rounds, error),
-                partial_model=self._partial_model(env, stats, best_effort=True),
+                partial_model=self._partial_model(env, stats),
                 stats=stats,
             ) from error
 
@@ -567,19 +553,7 @@ class DeductiveEngine:
             )
 
         self._emit_run_end(stats, "gave-up" if stats.gave_up else "ok")
-        try:
-            model = self._partial_model(env, stats)
-        except (KeyboardInterrupt, SystemExit, PartialResultError):
-            raise
-        except Exception as error:
-            # A fault during final normalization (e.g. an injected
-            # dbm_canonicalize fault whose hit count lands here) gets
-            # the same typed wrapping as one during the rounds.
-            raise EvaluationAbortedError(
-                "evaluation aborted while finalizing the model: %s" % error,
-                partial_model=self._partial_model(env, stats, best_effort=True),
-                stats=stats,
-            ) from error
+        model = self._partial_model(env, stats)
         if stats.gave_up:
             raise GiveUpError(
                 "bottom-up evaluation did not reach constraint safety "

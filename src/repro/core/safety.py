@@ -13,11 +13,15 @@ both free-extension safe and constraint safe, the naive
 generalized-tuple-at-a-time evaluation has reached its least fixpoint
 and can stop.
 
-This module implements both tests exactly (the implication test is
-zone containment in a union of zones, decided by zone subtraction),
-plus the strictly stronger *semantic* coverage test used as an
-ablation: a new tuple is covered if its extension is contained in the
-union of all same-data tuples, regardless of free-extension matching.
+This module implements both tests exactly.  The implication is
+decided on the lrp lattice the same-free-extension tuples share: the
+union of their zones must hold every *lattice point* of the new
+tuple's zone, not every integer point
+(:meth:`~repro.gdb.tuple.GeneralizedTuple.covered_on_lattice`), so an
+empty tuple is always covered.  The strictly stronger *semantic*
+coverage test is kept as an ablation: a new tuple is covered if its
+extension is contained in the union of all same-data tuples,
+regardless of free-extension matching.
 """
 
 from __future__ import annotations
@@ -30,23 +34,18 @@ def free_signatures(relation):
     return {gt.free_signature() for gt in relation.tuples}
 
 
-def covered_paper(gt, relation, snapshot=None):
+def covered_paper(gt, relation):
     """The paper's constraint-safety coverage test for one tuple:
-    is ``constraints(gt)`` implied by the disjunction of the
-    constraints of the tuples of ``relation`` with the same free
-    extension?  ``snapshot`` is accepted for signature parity with
-    :func:`covered_semantic` (the signature index already makes the
-    lookup per-sweep cheap)."""
+    is ``constraints(gt)`` implied, on ``gt``'s lrp lattice, by the
+    disjunction of the constraints of the tuples of ``relation`` with
+    the same free extension?"""
     fault_point("coverage")
     return _covered_paper_uncached(gt, relation)
 
 
 def _covered_paper_uncached(gt, relation):
     candidates = relation.tuples_with_signature_id(gt.kernel_ids()[1])
-    same_signature = [existing.constraints for existing in candidates]
-    if not same_signature:
-        return False
-    return gt.constraints.implied_by_union(same_signature)
+    return gt.covered_on_lattice([existing.constraints for existing in candidates])
 
 
 def covered_semantic(gt, relation, snapshot=None):
@@ -67,22 +66,6 @@ def _covered_semantic_uncached(gt, relation, snapshot):
     return all(piece.is_empty() for piece in remaining)
 
 
-_COVERAGE_MODES = {
-    "paper": covered_paper,
-    "semantic": covered_semantic,
-}
-
-
-def coverage_test(mode):
-    """Look up a coverage predicate by name ('paper' or 'semantic')."""
-    try:
-        return _COVERAGE_MODES[mode]
-    except KeyError:
-        raise ValueError(
-            "unknown safety mode %r (expected 'paper' or 'semantic')" % mode
-        ) from None
-
-
 class CoverageChecker:
     """The engine's per-run coverage test, with the cross-round cache.
 
@@ -95,8 +78,8 @@ class CoverageChecker:
     relations grow monotonically (``with_tuples`` carries the cache
     forward, dropping only the stale negatives of touched signatures),
     a tuple re-derived in a later round — the common case on the road
-    to the fixpoint — answers from the memo without touching
-    ``implied_by_union`` at all.
+    to the fixpoint — answers from the memo without deciding coverage
+    again.
 
     ``hits``/``misses`` count memo outcomes (``"semantic"`` mode never
     memoizes, so every test is a miss); the engine emits them per
@@ -110,7 +93,6 @@ class CoverageChecker:
     """
 
     def __init__(self, mode="paper", shifts=None):
-        coverage_test(mode)  # validate the mode name eagerly
         self.mode = mode
         self.shifts = shifts or {}
         self.hits = 0
@@ -144,7 +126,12 @@ class CoverageChecker:
         and return the fresh (uncovered) tuples per predicate in
         derivation order.  An uncovered tuple of an accelerated
         predicate is replaced by its shift closure, whose tuples are
-        deduped and tested the same way."""
+        deduped and tested the same way.
+
+        A tuple with the ``row_key`` of an earlier one is covered, and
+        so is a tuple with no lattice point, so every relation grown
+        from accepted tuples is duplicate-free and empty-free: the
+        engine's relations are normal by construction."""
         fresh = {}
         seen_keys = set()
         for predicate, tuples in derived.items():

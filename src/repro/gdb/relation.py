@@ -42,7 +42,6 @@ class GeneralizedRelation:
         "data_arity",
         "tuples",
         "_store",
-        "_normal",
         "coverage_generation",
     )
 
@@ -51,7 +50,6 @@ class GeneralizedRelation:
         self.data_arity = data_arity
         self.tuples = tuple(tuples)
         self._store = None
-        self._normal = 0
         self.coverage_generation = 0
         for gt in self.tuples:
             self._check(gt)
@@ -66,7 +64,6 @@ class GeneralizedRelation:
         relation.data_arity = data_arity
         relation.tuples = tuple(tuples)
         relation._store = None
-        relation._normal = 0
         relation.coverage_generation = 0
         return relation
 
@@ -141,23 +138,17 @@ class GeneralizedRelation:
             self.temporal_arity, self.data_arity, self.tuples + gts
         )
         grown._store = store
-        grown._normal = self._normal
         grown.coverage_generation = store.generation
         return grown
 
     def without(self, positions):
         """This relation minus the tuples at ``positions`` (indexes into
-        :attr:`tuples`); the kept tuples are not re-checked, and the kept
-        part of the normal prefix (see :meth:`normalize`) stays normal."""
-        kept = GeneralizedRelation._trusted(
+        :attr:`tuples`); the kept tuples are not re-checked."""
+        return GeneralizedRelation._trusted(
             self.temporal_arity,
             self.data_arity,
             [gt for index, gt in enumerate(self.tuples) if index not in positions],
         )
-        kept._normal = self._normal - len(
-            {index for index in positions if 0 <= index < self._normal}
-        )
-        return kept
 
     # -- structure ------------------------------------------------------------
 
@@ -226,8 +217,8 @@ class GeneralizedRelation:
         column store and so is *carried across* :meth:`with_tuples` —
         inserts are monotone, so positive verdicts survive and only the
         negatives of the inserted tuples' signatures are dropped.  That
-        carry-over is what lets unchanged signatures skip
-        ``implied_by_union`` entirely from round to round.
+        carry-over is what lets unchanged signatures skip the coverage
+        test entirely from round to round.
         """
         return self._ensure_store().coverage
 
@@ -405,35 +396,22 @@ class GeneralizedRelation:
 
     def normalize(self):
         """Remove duplicate and empty tuples, keeping the first copy of
-        each in order.
-
-        A relation records how many of its leading tuples are known to
-        be normal (distinct ``row_key``, not empty): :meth:`with_tuples`
-        and :meth:`without` carry that count forward, so only the tail
-        past it is checked, against the column store's first-position
-        map.  When nothing is dropped the relation itself is returned,
-        store and caches included.
-        """
-        start = self._normal
-        tuples = self.tuples
-        if start == len(tuples):
+        each in order; the relation itself when nothing is dropped.
+        The engine's relations are normal already (its acceptance
+        sweep admits no duplicate and no empty tuple); this is for
+        relations built by other means, before printing."""
+        seen = set()
+        kept = []
+        for gt in self.tuples:
+            key = gt.row_key()
+            if key not in seen and not gt.is_empty():
+                seen.add(key)
+                kept.append(gt)
+        if len(kept) == len(self.tuples):
             return self
-        # row_key is the interned (sid, cid) pair — an integer compare
-        # bijective with canonical_key.
-        first = self._ensure_store().first_positions()
-        tail = [
-            gt
-            for position, gt in enumerate(tuples[start:], start)
-            if first[gt.row_key()] == position and not gt.is_empty()
-        ]
-        if len(tail) == len(tuples) - start:
-            self._normal = len(tuples)
-            return self
-        normal = GeneralizedRelation._trusted(
-            self.temporal_arity, self.data_arity, tuples[:start] + tuple(tail)
+        return GeneralizedRelation._trusted(
+            self.temporal_arity, self.data_arity, kept
         )
-        normal._normal = len(normal.tuples)
-        return normal
 
     def coalesce(self):
         """Fold the relation into fewer, coarser tuples denoting the
@@ -559,13 +537,13 @@ def _merge_zones(members):
     kept = []
     for entry in members:
         for index, (position, other) in enumerate(kept):
-            hull = other.constraints.hull(entry[1].constraints)
-            if all(
-                GeneralizedTuple(other.lrps, other.data, piece).is_empty()
-                for system in hull.minus(other.constraints)
-                for piece in system.minus(entry[1].constraints)
-            ):
-                kept[index] = (position, GeneralizedTuple(other.lrps, other.data, hull))
+            hull = GeneralizedTuple(
+                other.lrps,
+                other.data,
+                other.constraints.hull(entry[1].constraints),
+            )
+            if hull.covered_on_lattice([other.constraints, entry[1].constraints]):
+                kept[index] = (position, hull)
                 break
         else:
             kept.append(entry)

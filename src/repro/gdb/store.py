@@ -52,8 +52,6 @@ class ColumnStore:
         "_sig_watermark",
         "_data_indexes",
         "_data_watermarks",
-        "_first_positions",
-        "_first_watermark",
     )
 
     def __init__(self, rows=(), generation=0):
@@ -66,8 +64,6 @@ class ColumnStore:
         self._sig_watermark = 0
         self._data_indexes = {}     # column -> {value: [row positions…]}
         self._data_watermarks = {}  # column -> rows already indexed
-        self._first_positions = {}  # row_key -> first row holding it
-        self._first_watermark = 0
 
     def __len__(self):
         return len(self.rows)
@@ -137,16 +133,3 @@ class ColumnStore:
             self._data_watermarks[column] = len(rows)
             self._data_indexes[column] = index
         return index
-
-    def first_positions(self):
-        """``{row_key: first position}`` over all rows, extended
-        incrementally: a row is a duplicate exactly when the map names
-        an earlier position for its key."""
-        if self._first_watermark < len(self.rows):
-            with _INDEX_LOCK:
-                rows = self.rows
-                first = self._first_positions
-                for position in range(self._first_watermark, len(rows)):
-                    first.setdefault(rows[position].row_key(), position)
-                self._first_watermark = len(rows)
-        return self._first_positions

@@ -590,27 +590,28 @@ class GeneralizedTuple:
             tuple(lrps), self.data, constraints
         ).propagate_equalities()
 
-    def contains_tuple(self, other):
-        """Exact extension containment: ``other ⊆ self``.
+    def covered_on_lattice(self, systems):
+        """Do the zones ``systems``, taken over this tuple's own lrps
+        and data, cover every point of this tuple?
 
-        Requires equal data.  Works disjunct-by-disjunct on a common
-        alignment: a point fixes its residue vector, so a disjunct of
-        ``other`` must be covered by the union of same-residue zones of
-        ``self``.
+        Only the points of the tuple's lrp lattice count.  The
+        integer test (zone containment in the union) is the fast
+        path; when it fails, the zones are subtracted from this
+        tuple's and each remaining piece must hold no lattice point
+        (:meth:`is_empty`).  With no zones this is :meth:`is_empty`,
+        so an empty tuple is always covered.
         """
-        if other.data != self.data or other.temporal_arity != self.temporal_arity:
-            return False
-        period = lcm_all(
-            [lrp.period for lrp in self.lrps] + [lrp.period for lrp in other.lrps]
+        if not systems:
+            return self.is_empty()
+        if self.constraints.implied_by_union(systems):
+            return True
+        remaining = [self.constraints]
+        for system in systems:
+            remaining = [piece for own in remaining for piece in own.minus(system)]
+        return all(
+            GeneralizedTuple(self.lrps, self.data, piece).is_empty()
+            for piece in remaining
         )
-        mine = {}
-        for disjunct in self.aligned(period):
-            mine.setdefault(disjunct.residues, []).append(disjunct.zone)
-        for disjunct in other.aligned(period):
-            zones = mine.get(disjunct.residues, [])
-            if not disjunct.zone.is_subset_of_union(zones):
-                return False
-        return True
 
     def subtract(self, others, period=1):
         """The exact difference ``self \\ (union of others)`` as a list

@@ -38,7 +38,7 @@ from repro.util.files import atomic_write
 from repro.util.hooks import fault_point
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def engine_fingerprint(program_text, edb_text, strategy, safety, *extra):

@@ -28,8 +28,11 @@ Instrumented sites
     :meth:`repro.constraints.dbm.Dbm.close` actually recomputing a
     shortest-path closure (already-closed matrices do not hit).
 ``coverage``
-    Each tuple-level constraint-safety coverage test
-    (:func:`repro.core.safety.covered_paper` / ``covered_semantic``).
+    Each tuple-level constraint-safety coverage test: one hit per
+    test of the acceptance sweep
+    (:meth:`repro.core.safety.CoverageChecker.covered`, memo hit or
+    miss, either safety mode) and one per call of the standalone
+    :func:`~repro.core.safety.covered_paper` / ``covered_semantic``.
 ``checkpoint_write``
     Entry of :func:`repro.runtime.checkpoint.write_checkpoint`.
 ``round``

@@ -252,9 +252,36 @@ def test_maintained_model_matches_scratch_after_every_batch(case, tmp_path_facto
         store.close()
 
 
+#: The anti-join splits a row nothing overlaps on its partners'
+#: period, as the reference's complement join does: kept whole, p1's
+#: ``(n; "x") where T1 = 1`` walks ``t + 4`` with one free signature
+#: and runs out of patience where the reference, whose split rows
+#: change signature, closes.
+SPLIT_CASE = Case(
+    relations=(
+        ("a", 1, 1, ('(2n; "x") where T1 >= 0', '(n; "x") where T1 = 1')),
+        ("b", 1, 1, ('(3n; "x") where T1 >= 0', '(n; "x") where T1 = 0')),
+    ),
+    program_text=(
+        'p0(t; X) <- a(t; X).\np0(t; "x") <- a(t; "x").\n'
+        "p0(t + 1; X) <- p0(t; X), a(t; X).\n"
+        'p1(t; "x") <- a(t; "x"), not b(t; "x").\n'
+        "p1(t + 4; X) <- p1(t; X), t < 22."
+    ),
+    goal=("p0", 0, 1, ()),
+    batches=((),),
+    strategy="naive",
+    resume_at=0,
+    rederive_budget=0,
+    window=(-24, 96),
+    interior=(0, 60),
+)
+
+
 @settings(max_examples=15, deadline=None)
 @given(case=cases(give_up=True))
 @example(case=MONADIC_CASE)
+@example(case=SPLIT_CASE)
 def test_give_up_is_typed_or_agrees_with_ground(case):
     oracle = Oracle(case, case.program(), case.edb())
     for strategy in ("naive", "semi-naive"):

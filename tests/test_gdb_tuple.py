@@ -342,24 +342,34 @@ class TestProjection:
 
 
 class TestContainmentAndDifference:
-    def test_contains_tuple_basic(self):
-        wide = GeneralizedTuple((Lrp(2, 0),), (), ConstraintSystem.top(1))
-        narrow = GeneralizedTuple(
-            (Lrp(4, 2),), (), ConstraintSystem.parse("T1 >= 0", 1)
+    def test_covered_on_lattice_counts_lattice_points_only(self):
+        # On 6n+4, the zone 4 <= T1 <= 10 holds only the points 4 and
+        # 10; the integers 5..9 between them are not on the lattice.
+        def point_zone(text):
+            return ConstraintSystem.parse(text, 1)
+
+        gt = GeneralizedTuple((Lrp(6, 4),), ("x",), point_zone("T1 >= 4 & T1 <= 10"))
+        ends = [point_zone("T1 = 4"), point_zone("T1 = 10")]
+        assert not gt.constraints.implied_by_union(ends)
+        assert gt.covered_on_lattice(ends)
+        assert not gt.covered_on_lattice(ends[:1])
+
+    def test_covered_on_lattice_without_zones_is_emptiness(self):
+        empty = GeneralizedTuple(
+            (Lrp(2, 0),), (), ConstraintSystem.parse("T1 >= 1 & T1 <= 1", 1)
         )
-        assert wide.contains_tuple(narrow)
-        assert not narrow.contains_tuple(wide)
+        assert empty.covered_on_lattice([])
+        assert not GeneralizedTuple((Lrp(2, 0),)).covered_on_lattice([])
 
-    def test_contains_tuple_data_mismatch(self):
-        a = GeneralizedTuple((Lrp(2, 0),), ("x",))
-        b = GeneralizedTuple((Lrp(2, 0),), ("y",))
-        assert not a.contains_tuple(b)
-
-    @given(small_tuples(), small_tuples())
-    @settings(max_examples=40)
-    def test_contains_tuple_extensional(self, a, b):
-        if a.contains_tuple(b):
-            assert times_in_window(b, -24, 24) <= times_in_window(a, -24, 24)
+    @given(small_tuples(), st.lists(small_tuples(), max_size=3))
+    @settings(max_examples=60)
+    def test_covered_on_lattice_is_exact(self, a, others):
+        # The zones are read on a's own lrps: coverage holds exactly
+        # when subtracting those same-lrp tuples leaves no point.
+        zones = [other.constraints for other in others]
+        same_lrps = [GeneralizedTuple(a.lrps, a.data, zone) for zone in zones]
+        exact = all(piece.is_empty() for piece in a.subtract(same_lrps))
+        assert a.covered_on_lattice(zones) == exact
 
     def test_subtract(self):
         whole = GeneralizedTuple(

@@ -211,15 +211,21 @@ class TestCheckpointFiles:
 
     def test_earlier_version_is_refused(self, tmp_path):
         # Version 2 files also carried known_signatures and
-        # plan_fingerprint; they load as a typed error, on which the
-        # service pool restarts the job from round 0.
+        # plan_fingerprint.  Version 3 files were written under the
+        # integer coverage test, so they can hold tuples (empty ones
+        # among them) that the lattice test rejects.  Both load as a
+        # typed error, on which the service pool restarts the job from
+        # round 0.
         path = tmp_path / "ck.json"
         make_engine().run(checkpoint_every=1, checkpoint_path=str(path))
         payload = json.loads(path.read_text())
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert "known_signatures" not in payload
         assert "plan_fingerprint" not in payload
         del payload["digest"]
+        path.write_text(json.dumps(dict(payload, version=3)))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
+            load_checkpoint(str(path))
         payload.update(version=2, known_signatures={}, plan_fingerprint="")
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
